@@ -59,7 +59,7 @@ let detection_time t =
      larger of our required rx and the remote's desired tx. *)
   let negotiated_us =
     Stdlib.max
-      (Int64.to_int (Int64.div (Sim.Time.to_ns t.rx_interval) 1000L))
+      (Sim.Time.to_ns_int t.rx_interval / 1000)
       t.remote_min_tx_us
   in
   Sim.Time.mul (Sim.Time.of_us negotiated_us) t.remote_detect_mult
@@ -80,8 +80,8 @@ let control_packet t =
     detect_mult = t.detect_mult;
     my_discriminator = t.local_discriminator;
     your_discriminator = t.remote_discriminator;
-    desired_min_tx_us = Int64.to_int (Int64.div (Sim.Time.to_ns t.tx_interval) 1000L);
-    required_min_rx_us = Int64.to_int (Int64.div (Sim.Time.to_ns t.rx_interval) 1000L);
+    desired_min_tx_us = Sim.Time.to_ns_int t.tx_interval / 1000;
+    required_min_rx_us = Sim.Time.to_ns_int t.rx_interval / 1000;
   }
 
 let transmit t () =
@@ -95,8 +95,8 @@ let transmit t () =
    jitter also de-correlates the detection delay from the failure
    instant, giving the convergence measurements their natural spread. *)
 let jittered_interval t =
-  let base = Int64.to_float (Sim.Time.to_ns t.tx_interval) in
-  Sim.Time.of_ns (Int64.of_float (base *. (0.75 +. Sim.Rng.float t.rng 0.25)))
+  let base = Float.of_int (Sim.Time.to_ns_int t.tx_interval) in
+  Sim.Time.of_ns_int (Float.to_int (base *. (0.75 +. Sim.Rng.float t.rng 0.25)))
 
 let rec schedule_tx t =
   t.tx_task <-

@@ -17,10 +17,9 @@ let encode_prefix buf p =
   let len = Prefix.length p in
   let nbytes = (len + 7) / 8 in
   Wire.Buf.u8 buf len;
-  let addr = Ipv4.to_int32 (Prefix.network p) in
+  let addr = Ipv4.to_int (Prefix.network p) in
   for i = 0 to nbytes - 1 do
-    Wire.Buf.u8 buf
-      (Int32.to_int (Int32.logand (Int32.shift_right_logical addr (24 - (8 * i))) 0xFFl))
+    Wire.Buf.u8 buf ((addr lsr (24 - (8 * i))) land 0xFF)
   done
 
 let decode_prefix r =
@@ -29,12 +28,9 @@ let decode_prefix r =
   else begin
     let nbytes = (len + 7) / 8 in
     let* raw = Wire.Reader.take r nbytes in
-    let addr = ref 0l in
-    String.iteri
-      (fun i c ->
-        addr := Int32.logor !addr (Int32.shift_left (Int32.of_int (Char.code c)) (24 - (8 * i))))
-      raw;
-    Ok (Prefix.make (Ipv4.of_int32 !addr) len)
+    let addr = ref 0 in
+    String.iteri (fun i c -> addr := !addr lor (Char.code c lsl (24 - (8 * i)))) raw;
+    Ok (Prefix.make (Ipv4.of_int !addr) len)
   end
 
 let rec decode_prefixes r limit acc =

@@ -1,3 +1,5 @@
+module Prefix_table = Hashtbl.Make (Net.Prefix)
+
 type mode =
   | Plain
   | Supercharged of { replicas : int }
@@ -442,15 +444,15 @@ let run params =
      keyed on the advertised prefixes (O(1) per FIB write). *)
   (match params.traffic with
   | Event_driven ->
-    let by_prefix = Hashtbl.create (Array.length flows * 2) in
+    let by_prefix = Prefix_table.create (Array.length flows * 2) in
     Array.iter
-      (fun (flow, prefix) -> Hashtbl.replace by_prefix (Net.Prefix.to_string prefix) flow)
+      (fun (flow, prefix) -> Prefix_table.replace by_prefix prefix flow)
       flows_with_prefixes;
     Router.Fib.on_applied fib (fun op ->
         let prefix =
           match op with Router.Fib.Set (p, _) -> p | Router.Fib.Remove p -> p
         in
-        match Hashtbl.find_opt by_prefix (Net.Prefix.to_string prefix) with
+        match Prefix_table.find_opt by_prefix prefix with
         | Some (flow : Trafficgen.Flow.t) ->
           Trafficgen.Monitor.probe_flow monitor flow.Trafficgen.Flow.index
         | None -> ());

@@ -85,8 +85,6 @@ let alloc_node t =
     t.pool_len <- t.pool_len + 1;
     i
 
-let u32 addr = Int32.to_int (Ipv4.to_int32 addr) land 0xFFFFFFFF
-
 (* Write [sv] into every slot of [base, base+count) not owned by a
    longer prefix. An equal stored length can only be this same prefix
    re-bound, so overwrite on <=. *)
@@ -129,7 +127,7 @@ let ensure_child t n i1 =
 let insert t prefix v =
   Lpm.insert t.trie prefix v;
   let len = Prefix.length prefix in
-  let net = u32 (Prefix.network prefix) in
+  let net = Ipv4.to_int (Prefix.network prefix) in
   let sv = Some v in
   if len <= 16 then
     set_root_range t ~base:(net lsr 16) ~count:(1 lsl (16 - len)) ~len sv
@@ -152,7 +150,7 @@ let insert t prefix v =
    level's length band. The trie answers that query after the binding
    is gone, so the replacement is exact. *)
 let refill_root t i =
-  let addr = Ipv4.of_int32 (Int32.of_int (i lsl 16)) in
+  let addr = Ipv4.of_int (i lsl 16) in
   match Lpm.best_in_range t.trie addr ~lo:0 ~hi:16 with
   | Some (plen, v) ->
     t.root_values.(i) <- Some v;
@@ -162,7 +160,7 @@ let refill_root t i =
     Bytes.set_uint8 t.root_plens i empty_plen
 
 let refill_node t n ~slot_addr ~lo ~hi i =
-  let addr = Ipv4.of_int32 (Int32.of_int slot_addr) in
+  let addr = Ipv4.of_int slot_addr in
   match Lpm.best_in_range t.trie addr ~lo ~hi with
   | Some (plen, v) ->
     n.values.(i) <- Some v;
@@ -178,7 +176,7 @@ let remove t prefix =
   if Option.is_some (Lpm.find_exact t.trie prefix) then begin
     Lpm.remove t.trie prefix;
     let len = Prefix.length prefix in
-    let net = u32 (Prefix.network prefix) in
+    let net = Ipv4.to_int (Prefix.network prefix) in
     if len <= 16 then begin
       let base = net lsr 16 in
       for i = base to base + (1 lsl (16 - len)) - 1 do
@@ -231,7 +229,7 @@ let remove t prefix =
    — no allocation, no closure, no prefix reconstruction. Indices are
    masked to their level's width, so unsafe_get cannot escape. *)
 let[@lint.zero_alloc] lookup_value t addr =
-  let a = u32 addr in
+  let a = Ipv4.to_int addr in
   let i0 = a lsr 16 in
   let c1 = Array.unsafe_get t.root_children i0 in
   if c1 = 0 then Array.unsafe_get t.root_values i0
@@ -259,7 +257,7 @@ let[@lint.zero_alloc] lookup_value t addr =
    stored per-slot length — convenient for tests and callers that need
    the match, not for the per-packet path. *)
 let lookup t addr =
-  let a = u32 addr in
+  let a = Ipv4.to_int addr in
   let i0 = a lsr 16 in
   let best_plen = ref empty_plen in
   let best_v = ref None in

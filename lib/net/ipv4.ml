@@ -1,20 +1,20 @@
-type t = int32
+type t = int
 
-let of_int32 x = x
-let to_int32 x = x
+let mask32 = 0xFFFF_FFFF
+
+let of_int x = x land mask32
+let to_int x = x
+
+let of_int32 x = Int32.to_int x land mask32
+
+let to_int32 x = Int32.of_int x
 
 let of_octets a b c d =
   if a < 0 || a > 255 || b < 0 || b > 255 || c < 0 || c > 255 || d < 0 || d > 255
   then invalid_arg "Ipv4.of_octets";
-  Int32.logor
-    (Int32.shift_left (Int32.of_int a) 24)
-    (Int32.logor
-       (Int32.shift_left (Int32.of_int b) 16)
-       (Int32.logor (Int32.shift_left (Int32.of_int c) 8) (Int32.of_int d)))
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let to_octets t =
-  let byte n = Int32.to_int (Int32.logand (Int32.shift_right_logical t n) 0xFFl) in
-  (byte 24, byte 16, byte 8, byte 0)
+let to_octets t = ((t lsr 24) land 0xFF, (t lsr 16) land 0xFF, (t lsr 8) land 0xFF, t land 0xFF)
 
 let of_string s =
   let fail () = Error (Printf.sprintf "invalid IPv4 address %S" s) in
@@ -41,22 +41,24 @@ let to_string t =
   let a, b, c, d = to_octets t in
   Printf.sprintf "%d.%d.%d.%d" a b c d
 
-let any = 0l
-let broadcast = 0xFFFFFFFFl
+let any = 0
+let broadcast = mask32
 
-let succ t = Int32.add t 1l
-let add t n = Int32.add t (Int32.of_int n)
+let succ t = (t + 1) land mask32
+let add t n = (t + n) land mask32
 
-let unsigned x = Int32.to_int x land 0xFFFFFFFF
+let diff a b = (a - b) land mask32
 
-let diff a b = (unsigned a - unsigned b) land 0xFFFFFFFF
+let compare = Int.compare
+let equal = Int.equal
 
-let compare a b = Int32.unsigned_compare a b
-let equal a b = Int32.equal a b
-let hash t = Int32.to_int t land max_int
+(* The hash of the address's int32 form: sign-extend bit 31, then clear
+   the sign bit. It fixes the bucket layout, and so the iteration order,
+   of every [Hashtbl.Make] table keyed on addresses (DESIGN §18). *)
+let hash t = ((t lxor 0x8000_0000) - 0x8000_0000) land max_int
 
 let bit t i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit";
-  Int32.logand (Int32.shift_right_logical t (31 - i)) 1l = 1l
+  (t lsr (31 - i)) land 1 = 1
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -1,12 +1,22 @@
 (** IPv4 addresses.
 
-    Stored as a host-order [int32]; all arithmetic treats the address as
-    an unsigned 32-bit integer. *)
+    An address is an immediate [int] holding the unsigned 32-bit value,
+    so it needs no heap block and [compare] is plain integer order. *)
 
 type t
 
+val of_int : int -> t
+(** Keeps only the low 32 bits. *)
+
+val to_int : t -> int
+(** The address as an unsigned value: [0] to [0xFFFF_FFFF]. *)
+
 val of_int32 : int32 -> t
+(** Reads the [int32] as unsigned: [of_int32 (-1l)] is
+    [255.255.255.255]. *)
+
 val to_int32 : t -> int32
+(** The wire form: addresses from [128.0.0.0] up come back negative. *)
 
 val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is [a.b.c.d]. Each octet must be in [0, 255]. *)
@@ -40,7 +50,11 @@ val compare : t -> t -> int
 (** Unsigned comparison: [0.0.0.1 < 128.0.0.0 < 255.255.255.255]. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** The hash of the address's [int32] form: bit 31 sign-extended, then
+    masked with [max_int]. It fixes the bucket layout, and so the
+    iteration order, of every table keyed on addresses (DESIGN §18). *)
 
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] of [a], where bit 0 is the most significant.

@@ -117,21 +117,19 @@ let best_in_range t addr ~lo ~hi =
 
 let iter t f =
   (* Reconstructs each prefix from the path; [bits] accumulates the path
-     as an int32 built most-significant-bit first. *)
+     as an address value built most-significant-bit first. *)
   let rec walk node depth bits =
     (match node.value with
-    | Some v -> f (Prefix.make (Ipv4.of_int32 bits) depth) v
+    | Some v -> f (Prefix.make (Ipv4.of_int bits) depth) v
     | None -> ());
     (match node.zero with
     | Some c -> walk c (depth + 1) bits
     | None -> ());
     match node.one with
-    | Some c ->
-      let bit = Int32.shift_left 1l (31 - depth) in
-      walk c (depth + 1) (Int32.logor bits bit)
+    | Some c -> walk c (depth + 1) (bits lor (1 lsl (31 - depth)))
     | None -> ()
   in
-  walk t.root 0 0l
+  walk t.root 0 0
 
 let fold t ~init ~f =
   let acc = ref init in

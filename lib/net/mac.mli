@@ -1,5 +1,7 @@
-(** 48-bit Ethernet MAC addresses, stored in the low 48 bits of an
-    [int64]. *)
+(** 48-bit Ethernet MAC addresses.
+
+    An address is an immediate [int] holding the 48-bit value, so it
+    needs no heap block and [compare] is plain integer order. *)
 
 type t
 
@@ -7,6 +9,7 @@ val of_int64 : int64 -> t
 (** Keeps only the low 48 bits. *)
 
 val to_int64 : t -> int64
+(** The address in the low 48 bits, so never negative. *)
 
 val of_bytes : int array -> t
 (** [of_bytes [|b0; ...; b5|]] with [b0] the most significant byte.
@@ -30,6 +33,9 @@ val is_broadcast : t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** The 48-bit value itself, which is also the hash of its [int64]
+    form masked with [max_int]. *)
 
 val pp : Format.formatter -> t -> unit

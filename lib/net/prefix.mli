@@ -1,8 +1,9 @@
 (** IPv4 prefixes in CIDR notation.
 
-    Prefixes are kept in canonical form: host bits below the mask are
-    always zero, so structural equality coincides with semantic
-    equality. *)
+    A prefix is one immediate [int], [(network lsl 6) lor length], so it
+    needs no heap block and [compare] is plain integer order. Prefixes
+    are kept in canonical form: host bits below the mask are always
+    zero, so structural equality coincides with semantic equality. *)
 
 type t
 
@@ -50,6 +51,10 @@ val compare : t -> t -> int
     shorter (less specific) first. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Mixes {!Ipv4.hash} of the network with the length. The value is
+    part of the contract: it fixes the iteration order of every table
+    keyed on prefixes (DESIGN §18). *)
 
 val pp : Format.formatter -> t -> unit

@@ -228,7 +228,8 @@ let rec drain_control_queue t =
              t.flow_mods_applied <- t.flow_mods_applied + 1;
              Obs.Metrics.incr t.m_flow_mods;
              Obs.Metrics.set t.m_rules (float_of_int (Flow_table.size t.table));
-             trace t "%s: applied %a" t.name Message.pp (Message.Flow_mod fm);
+             if Sim.Trace.enabled (Sim.Engine.trace t.engine) then
+               trace t "%s: applied %a" t.name Message.pp (Message.Flow_mod fm);
              (match t.flow_applied_cb with Some f -> f fm | None -> ());
              drain_control_queue t))
     | Op_barrier (xid, reply_to) ->

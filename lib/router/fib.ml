@@ -37,8 +37,12 @@ let apply t op =
   | Set (prefix, adj) -> Net.Flat_fib.insert t.table prefix adj
   | Remove prefix -> Net.Flat_fib.remove t.table prefix);
   t.applied <- t.applied + 1;
-  Sim.Trace.emitf (Sim.Engine.trace t.engine) (Sim.Engine.now t.engine)
-    ~category:"fib" "%s: %a" t.name pp_op op;
+  (* Guarded: with tracing off, [emitf] would still walk the format once
+     per FIB write. *)
+  let trace = Sim.Engine.trace t.engine in
+  if Sim.Trace.enabled trace then
+    Sim.Trace.emitf trace (Sim.Engine.now t.engine) ~category:"fib" "%s: %a" t.name
+      pp_op op;
   match t.observer with Some f -> f op | None -> ()
 
 let rec process_next t =

@@ -117,9 +117,9 @@ let hit t p = p > 0.0 && Rng.float t.rng 1.0 < p
 (* Uniform extra delay in [delay_min, delay_max]. *)
 let draw_delay t =
   let p = t.active in
-  let span = Int64.to_float (Time.to_ns (Time.sub p.delay_max p.delay_min)) in
+  let span = Float.of_int (Time.to_ns_int (Time.sub p.delay_max p.delay_min)) in
   let extra = if span <= 0.0 then 0.0 else Rng.float t.rng span in
-  Time.add p.delay_min (Time.of_ns (Int64.of_float extra))
+  Time.add p.delay_min (Time.of_ns_int (Float.to_int extra))
 
 let copy_delay t =
   if hit t t.active.delay_prob then begin

@@ -4,7 +4,10 @@
     start of the simulation. Durations use the same representation; the
     arithmetic functions below are shared by both readings. Nanosecond
     integer arithmetic keeps every experiment bit-for-bit deterministic,
-    which the paper's replica-redundancy argument (§3) relies on. *)
+    which the paper's replica-redundancy argument (§3) relies on.
+
+    An instant is an immediate [int], so it needs no heap block; 63 bits
+    of nanoseconds span about 146 years either side of zero. *)
 
 type t
 (** An instant (or duration) in nanoseconds. *)
@@ -12,7 +15,14 @@ type t
 val zero : t
 
 val of_ns : int64 -> t
+(** Exact for every value within 63 bits. *)
+
 val to_ns : t -> int64
+
+val of_ns_int : int -> t
+val to_ns_int : t -> int
+(** The same nanoseconds as a plain [int], for integer arithmetic
+    without boxing. *)
 
 val of_us : int -> t
 (** [of_us n] is [n] microseconds. *)

@@ -37,8 +37,10 @@ val event : t -> Time.t -> category:string -> string -> Obs.Field.t list -> unit
 
 val emitf :
   t -> Time.t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted emission. The format arguments are only evaluated when the
-    trace is enabled. *)
+(** Formatted emission. The message is only built when the trace is
+    enabled; when it is not, the call still walks the format over its
+    arguments, so call sites that run per update or per packet test
+    {!enabled} first. *)
 
 val entries : t -> entry list
 (** Retained entries in emission order (oldest first). *)

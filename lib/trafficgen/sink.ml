@@ -42,8 +42,9 @@ let deliver t dst =
     | None -> ());
     slot.last <- Some now;
     slot.count <- slot.count + 1;
-    Sim.Trace.emitf (Sim.Engine.trace t.engine) now ~category:"sink"
-      "arrival flow#%d" slot.flow.Flow.index;
+    let trace = Sim.Engine.trace t.engine in
+    if Sim.Trace.enabled trace then
+      Sim.Trace.emitf trace now ~category:"sink" "arrival flow#%d" slot.flow.Flow.index;
     match t.delivery_cb with Some f -> f slot.flow | None -> ()
 
 let deliver_packet t (p : Net.Ipv4_packet.t) = deliver t p.dst

@@ -79,19 +79,19 @@ let sample_internet_as_path rng =
 
 let generate_with ~table ~seed ~count =
   let rng = Sim.Rng.create ~seed in
-  let cursor = ref (Int64.of_int (Net.Ipv4.diff (Net.Ipv4.of_octets 1 0 0 0) Net.Ipv4.any)) in
+  let cursor = ref (Net.Ipv4.to_int (Net.Ipv4.of_octets 1 0 0 0)) in
   Array.init count (fun _ ->
       let len = sample_length table rng in
-      let size = Int64.of_int (1 lsl (32 - len)) in
+      let size = 1 lsl (32 - len) in
       (* Align the cursor up to the prefix's natural boundary. *)
       let aligned =
-        let rem = Int64.rem !cursor size in
-        if Int64.equal rem 0L then !cursor else Int64.add !cursor (Int64.sub size rem)
+        let rem = !cursor mod size in
+        if rem = 0 then !cursor else !cursor + (size - rem)
       in
-      cursor := Int64.add aligned size;
-      if Int64.compare !cursor 0xFFFF_0000L > 0 then
+      cursor := aligned + size;
+      if !cursor > 0xFFFF_0000 then
         failwith "Rib_gen.generate: address space exhausted";
-      let prefix = Net.Prefix.make (Net.Ipv4.of_int32 (Int64.to_int32 aligned)) len in
+      let prefix = Net.Prefix.make (Net.Ipv4.of_int aligned) len in
       let med = if Sim.Rng.int rng 10 = 0 then Some (Sim.Rng.int rng 100) else None in
       { prefix; as_path = sample_as_path rng; med })
 
@@ -117,33 +117,31 @@ let generate_internet ~seed ~count =
   if count < 0 || count > 1_200_000 then
     invalid_arg "Rib_gen.generate_internet: count";
   let rng = Sim.Rng.create ~seed in
-  let cursor = ref (Int64.of_int (Net.Ipv4.diff (Net.Ipv4.of_octets 1 0 0 0) Net.Ipv4.any)) in
+  let cursor = ref (Net.Ipv4.to_int (Net.Ipv4.of_octets 1 0 0 0)) in
   let aggregates = Hashtbl.create 4096 in
   Array.init count (fun _ ->
       let len = sample_length internet_length_table rng in
-      let size = Int64.of_int (1 lsl (32 - len)) in
+      let size = 1 lsl (32 - len) in
       let network =
         if len >= 17 then begin
-          let rem = Int64.rem !cursor size in
-          let aligned =
-            if Int64.equal rem 0L then !cursor else Int64.add !cursor (Int64.sub size rem)
-          in
-          cursor := Int64.add aligned size;
+          let rem = !cursor mod size in
+          let aligned = if rem = 0 then !cursor else !cursor + (size - rem) in
+          cursor := aligned + size;
           aligned
         end
         else begin
           (* Aligned block containing (or following) the leaf cursor. *)
-          let block = ref (Int64.mul (Int64.div !cursor size) size) in
+          let block = ref (!cursor / size * size) in
           while Hashtbl.mem aggregates (len, !block) do
-            block := Int64.add !block size
+            block := !block + size
           done;
           Hashtbl.replace aggregates (len, !block) ();
           !block
         end
       in
-      if Int64.compare !cursor 0xE000_0000L > 0 then
+      if !cursor > 0xE000_0000 then
         failwith "Rib_gen.generate_internet: address space exhausted";
-      let prefix = Net.Prefix.make (Net.Ipv4.of_int32 (Int64.to_int32 network)) len in
+      let prefix = Net.Prefix.make (Net.Ipv4.of_int network) len in
       let med = if Sim.Rng.int rng 10 = 0 then Some (Sim.Rng.int rng 100) else None in
       { prefix; as_path = sample_internet_as_path rng; med })
 

@@ -290,6 +290,54 @@ let lab_tests =
           (result.Experiments.Topology.probes < 20_000));
   ]
 
+(* Values recorded from [Topology.run] at 2,000 prefixes, seed 42. The
+   determinism test above compares two runs of one build; these pin the
+   behaviour across builds, so a change that shifts event order, FIB
+   timing or convergence fails here. *)
+let golden_tests =
+  let check_run mode ~events ~fib_writes ~convergence_ns =
+    let r =
+      Experiments.Topology.run
+        (Experiments.Topology.default_params ~mode ~n_prefixes:2000 ())
+    in
+    Alcotest.(check int) "events" events r.Experiments.Topology.events;
+    Alcotest.(check int) "fib_writes" fib_writes r.Experiments.Topology.fib_writes;
+    Alcotest.(check (list (option int64)))
+      "convergence (ns)"
+      (List.map (fun ns -> Some (Int64.of_int ns)) convergence_ns)
+      (Array.to_list
+         (Array.map (Option.map Sim.Time.to_ns) r.Experiments.Topology.convergence))
+  in
+  [
+    Alcotest.test_case "plain lab at 2,000 prefixes, seed 42" `Slow (fun () ->
+        check_run Experiments.Topology.Plain ~events:37206 ~fib_writes:4000
+          ~convergence_ns:
+            [
+            392_560_000; 954_310_000; 942_760_000; 784_840_000; 503_020_000; 895_300_000;
+            567_350_000; 640_150_000; 630_000_000; 482_510_000; 504_700_000; 827_540_000;
+            858_480_000; 526_330_000; 442_890_000; 731_150_000; 872_270_000; 950_950_000;
+            591_780_000; 501_900_000; 619_360_000; 466_200_000; 605_570_000; 679_210_000;
+            930_720_000; 683_410_000; 657_020_000; 753_410_000; 946_120_000; 465_080_000;
+            886_830_000; 938_280_000; 952_070_000; 719_390_000; 802_550_000; 761_530_000;
+            594_020_000; 399_630_000; 952_910_000; 923_930_000; 824_740_000; 893_900_000;
+            917_210_000; 567_910_000; 907_340_000; 887_110_000; 923_090_000; 953_470_000;
+            478_590_000; 576_100_000; 779_520_000; 943_600_000; 515_620_000; 434_140_000;
+            529_130_000; 883_470_000; 692_090_000; 405_510_000; 791_910_000; 516_250_000;
+            543_760_000; 552_720_000; 859_880_000; 577_500_000; 931_280_000; 423_220_000;
+            771_960_000; 576_660_000; 459_200_000; 551_880_000; 589_820_000; 578_900_000;
+            572_390_000; 399_350_000; 701_120_000; 392_840_000; 586_460_000; 651_630_000;
+            828_660_000; 838_530_000; 884_590_000; 587_580_000; 467_600_000; 572_950_000;
+            411_670_000; 714_630_000; 493_430_000; 545_720_000; 396_200_000; 721_630_000;
+            826_980_000; 551_600_000; 581_140_000; 510_300_000; 630_560_000; 680_890_000;
+            743_540_000; 507_780_000; 722_470_000; 456_610_000;
+            ]);
+    Alcotest.test_case "supercharged lab at 2,000 prefixes, seed 42" `Slow (fun () ->
+        check_run
+          (Experiments.Topology.Supercharged { replicas = 1 })
+          ~events:45160 ~fib_writes:5799
+          ~convergence_ns:(List.init 100 (fun _ -> 116_130_000)));
+  ]
+
 let micro_tests =
   [
     Alcotest.test_case "micro benchmark processes the double feed" `Slow (fun () ->
@@ -334,6 +382,7 @@ let suite =
   [
     ("experiments.stats", stats_tests);
     ("experiments.lab", lab_tests);
+    ("experiments.golden", golden_tests);
     ("experiments.micro", micro_tests);
     ("experiments.fig5", fig5_tests);
   ]

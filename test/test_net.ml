@@ -692,9 +692,109 @@ let pcap_tests =
         Sys.remove path);
   ]
 
+(* The scalar types are immediates, but their hashes and orders are
+   pinned to the values they had as boxed int32/int64s: hash values fix
+   the bucket layout, and so the iteration order, of every table keyed
+   on them, and the simulation's exact numbers depend on that order. *)
+let representation_tests =
+  let golden name hash parse cases =
+    Alcotest.test_case (name ^ " hash golden values") `Quick (fun () ->
+        List.iter
+          (fun (s, h) -> Alcotest.(check int) (name ^ " " ^ s) h (hash (parse s)))
+          cases)
+  in
+  (* Reference order, computed on the int32 wire form: unsigned network
+     first, then length. *)
+  let reference_compare a b =
+    let c =
+      Int32.unsigned_compare
+        (Ipv4.to_int32 (Prefix.network a))
+        (Ipv4.to_int32 (Prefix.network b))
+    in
+    if c <> 0 then c else Int.compare (Prefix.length a) (Prefix.length b)
+  in
+  (* Addresses either side of 128.0.0.0 (the int32 sign bit), drawn
+     often enough that equal networks of different lengths meet. *)
+  let edge_addr =
+    QCheck.(
+      oneof
+        [
+          map Int32.of_int int;
+          oneofl [0l; 1l; 0x7FFF_FFFFl; 0x8000_0000l; 0x8000_0001l; -1l];
+        ])
+  in
+  let edge_prefix =
+    QCheck.map
+      (fun (a, len) -> Prefix.make (Ipv4.of_int32 a) len)
+      QCheck.(pair edge_addr (0 -- 32))
+  in
+  let sign n = if n < 0 then -1 else if n > 0 then 1 else 0 in
+  [
+    golden "Ipv4" Ipv4.hash Ipv4.of_string_exn
+      [
+        ("0.0.0.0", 0);
+        ("1.2.3.4", 16909060);
+        ("10.0.0.1", 167772161);
+        ("127.255.255.255", 2147483647);
+        ("128.0.0.0", 4611686016279904256);
+        ("128.0.0.1", 4611686016279904257);
+        ("192.168.1.1", 4611686017364656385);
+        ("200.1.2.3", 4611686017487929859);
+        ("255.255.255.255", 4611686018427387903);
+      ];
+    golden "Prefix" Prefix.hash Prefix.v
+      [
+        ("0.0.0.0/0", 0);
+        ("1.0.0.0/24", 44534528918668562);
+        ("10.0.0.0/8", 445342800710112774);
+        ("127.255.255.0/24", 1088731111597175700);
+        ("128.0.0.0/1", 3522997722310037376);
+        ("128.0.0.0/24", 3522997773956936722);
+        ("192.168.1.0/24", 1790724339913332403);
+        ("200.1.2.0/24", 2117925192409228982);
+        ("255.255.255.255/32", 4611615718996055966);
+      ];
+    golden "Mac" Mac.hash Mac.of_string_exn
+      [
+        ("00:00:00:00:00:00", 0);
+        ("00:00:00:00:00:01", 1);
+        ("00:bb:00:00:00:02", 803158884354);
+        ("7f:ff:ff:ff:ff:ff", 140737488355327);
+        ("80:00:00:00:00:00", 140737488355328);
+        ("ff:ff:ff:ff:ff:ff", 281474976710655);
+      ];
+    Alcotest.test_case "int32 round-trip at the edges" `Quick (fun () ->
+        List.iter
+          (fun x ->
+            Alcotest.(check int32) (Int32.to_string x) x (Ipv4.to_int32 (Ipv4.of_int32 x)))
+          [0l; 1l; Int32.max_int; Int32.min_int; -1l]);
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"ipv4 of_int32/to_int32 round-trip" ~count:1000
+         QCheck.int32 (fun x -> Int32.equal (Ipv4.to_int32 (Ipv4.of_int32 x)) x));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"ipv4 compare is unsigned int32 order" ~count:1000
+         QCheck.(pair edge_addr edge_addr)
+         (fun (a, b) ->
+           sign (Ipv4.compare (Ipv4.of_int32 a) (Ipv4.of_int32 b))
+           = sign (Int32.unsigned_compare a b)));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"prefix compare is (unsigned network, length) order"
+         ~count:1000 QCheck.(pair edge_prefix edge_prefix)
+         (fun (a, b) -> sign (Prefix.compare a b) = sign (reference_compare a b)));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"prefix make clears host bits" ~count:1000
+         QCheck.(pair edge_addr (0 -- 32))
+         (fun (a, len) ->
+           let p = Prefix.make (Ipv4.of_int32 a) len in
+           let mask = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len) in
+           Prefix.length p = len
+           && Int32.equal (Ipv4.to_int32 (Prefix.network p)) (Int32.logand a mask)));
+  ]
+
 let suite =
   [
     ("net.ipv4", ipv4_tests);
+    ("net.representation", representation_tests);
     ("net.validation", validation_tests);
     ("net.mac", mac_tests);
     ("net.prefix", prefix_tests);

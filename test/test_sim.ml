@@ -36,6 +36,17 @@ let time_tests =
         Alcotest.(check string) "us" "70.000us" (to_string (of_us 70));
         Alcotest.(check string) "ms" "2.000ms" (to_string (of_ms 2));
         Alcotest.(check string) "s" "1.500000s" (to_string (of_sec 1.5)));
+    Alcotest.test_case "of_ns/to_ns round-trip at the edges" `Quick (fun () ->
+        List.iter
+          (fun ns ->
+            Alcotest.(check int64) (Int64.to_string ns) ns (to_ns (of_ns ns)))
+          [0L; 1L; -1L; Int64.of_int max_int; Int64.of_int min_int]);
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"of_ns/to_ns round-trip over 63-bit nanoseconds"
+         ~count:1000 QCheck.int
+         (fun ns ->
+           let ns = Int64.of_int ns in
+           Int64.equal (to_ns (of_ns ns)) ns));
   ]
 
 let heap_tests =
