@@ -14,10 +14,14 @@
     dominant /24 band's resizes from churning the thin aggregate bands
     and shortens every probe chain to same-length prefixes.
 
-    A per-peer prefix index is maintained incrementally on every
-    announce/withdraw, so a whole-session loss ({!withdraw_peer}) costs
-    work proportional to the number of prefixes the peer actually
-    routed — never a scan of the full table. The decision process is
+    Each stored prefix holds a dense slot id, handed out when its first
+    candidate arrives and recycled when its last one goes; the shards
+    map prefix to slot and the ranked candidates live in a slot-indexed
+    array. The per-peer prefix index is one membership bitmap over
+    slots per peer, plus a count: an announce or withdraw flips one bit,
+    with no prefix hashing, and allocates only when a bitmap grows. A
+    whole-session loss ({!withdraw_peer}) walks the failed peer's bitmap
+    and re-ranks only the prefixes the peer actually routed. The decision process is
     incremental by construction: an update re-ranks only the touched
     prefix's candidate splice, and {!candidate_visits} counts the
     list nodes those splices inspect so tests and benches can pin the
@@ -45,8 +49,11 @@ val withdraw : t -> Net.Prefix.t -> peer_id:int -> change option
 val withdraw_peer : t -> peer_id:int -> change list
 (** Removes every route of a peer (session loss). Only prefixes whose
     candidate list actually changed are reported, in ascending prefix
-    order. Cost is proportional to the peer's own prefix count, not to
-    the table size.
+    order. For a peer holding k prefixes in a table of N the cost is
+    O(k log k) for the sort plus a word-at-a-time walk of the peer's
+    bitmap, at most N/64 words (about 16k words at 1M prefixes), which
+    stops once all k bits are found. Candidate lists are walked only
+    for the peer's own k prefixes.
 
     A peer the table has never heard from — or one already fully
     withdrawn — is a no-op returning [[]]. Callers rely on this: a BFD
@@ -55,10 +62,12 @@ val withdraw_peer : t -> peer_id:int -> change list
     change records. *)
 
 val peer_prefix_count : t -> peer_id:int -> int
-(** Number of prefixes the peer currently has a candidate for. *)
+(** Number of prefixes the peer currently has a candidate for. O(1). *)
 
 val peer_prefixes : t -> peer_id:int -> Net.Prefix.t list
-(** The indexed prefix set of a peer (unspecified order). *)
+(** The indexed prefix set of a peer, in ascending prefix order
+    ({!Net.Prefix.compare}), whatever the order the slots were handed
+    out in. Costs what {!withdraw_peer}'s walk and sort cost. *)
 
 val apply_update : t -> peer_id:int -> peer_router_id:Net.Ipv4.t ->
   ?ebgp:bool -> ?igp_cost:int -> Message.update -> change list

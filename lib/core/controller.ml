@@ -424,15 +424,16 @@ let resync_peer_routes t (up : upstream) =
   let withdrawals =
     List.filter_map (fun p -> Bgp.Rib.withdraw t.rib p ~peer_id) stale
   in
+  (* Re-announced in ascending prefix order, as the stale set is, so
+     Listing 1 sees the same change stream whatever the tables' layout. *)
   let announcements =
-    Prefix_tbl.fold
-      (fun prefix attrs acc ->
-        Bgp.Rib.apply_update t.rib ~peer_id
-          ~peer_router_id:(peer_router_id up.up_peer)
-          ~igp_cost:(igp_cost_of t attrs)
-          { Bgp.Message.withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
-        @ acc)
-      adj []
+    Prefix_tbl.fold (fun prefix attrs acc -> (prefix, attrs) :: acc) adj []
+    |> List.sort (fun (p, _) (q, _) -> Net.Prefix.compare p q)
+    |> List.concat_map (fun (prefix, attrs) ->
+           Bgp.Rib.apply_update t.rib ~peer_id
+             ~peer_router_id:(peer_router_id up.up_peer)
+             ~igp_cost:(igp_cost_of t attrs)
+             { Bgp.Message.withdrawn = []; attrs = Some attrs; nlri = [ prefix ] })
   in
   match withdrawals @ announcements with
   | [] -> ()

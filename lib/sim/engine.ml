@@ -13,7 +13,6 @@ type t = {
   trace : Trace.t;
   metrics : Obs.Metrics.t;
   mutable processed : int;
-  mutable live : int; (* queued, not cancelled *)
 }
 
 let create ?(seed = 1L) ?trace ?metrics () =
@@ -26,7 +25,6 @@ let create ?(seed = 1L) ?trace ?metrics () =
     trace;
     metrics;
     processed = 0;
-    live = 0;
   }
 
 let now t = t.clock
@@ -38,7 +36,6 @@ let schedule_at t instant f =
   let at = Time.max instant t.clock in
   let ev = { at; run = f; cancelled = false } in
   Heap.push t.queue ev;
-  t.live <- t.live + 1;
   ev
 
 let schedule_after t delay f =
@@ -67,7 +64,6 @@ let every t ?start ~interval f =
   task
 
 let run_event t ev =
-  t.live <- t.live - 1;
   if not ev.cancelled then begin
     t.clock <- Time.max t.clock ev.at;
     t.processed <- t.processed + 1;
@@ -113,5 +109,8 @@ let run ?until ?max_events t =
   | Some horizon when not !stopped_by_budget -> t.clock <- Time.max t.clock horizon
   | Some _ | None -> ()
 
-let pending t = t.live
+(* A cancelled event stays in the queue until its instant, so the count
+   is taken over the queue rather than kept beside it. *)
+let pending t =
+  List.fold_left (fun n ev -> if ev.cancelled then n else n + 1) 0 (Heap.to_list t.queue)
 let events_processed t = t.processed

@@ -41,11 +41,16 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> handle
     negative. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-run or already-cancelled event is a no-op. *)
+(** Cancelling a queued event removes it from {!pending} at once.
+    Cancelling an already-run or already-cancelled event is a no-op. *)
 
 val every : t -> ?start:Time.t -> interval:Time.t -> (unit -> unit) -> handle
 (** [every t ~interval f] runs [f] at [start] (default [now + interval])
-    and then each [interval] until the returned handle is cancelled. *)
+    and then each [interval] until the returned handle is cancelled.
+    The handle itself is never queued: at any time the task has one
+    queued tick, which {!pending} counts. Cancelling the handle does not
+    dequeue that tick; it stays counted until its instant, when it runs
+    as a no-op. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Processes events in time order until the queue is empty, the clock
@@ -56,7 +61,9 @@ val step : t -> bool
 (** Processes a single event. [false] if the queue was empty. *)
 
 val pending : t -> int
-(** Number of queued (non-cancelled) events. *)
+(** Number of queued (non-cancelled) events, including the next tick of
+    each {!every} task. O(queued events): for tests and diagnostics, not
+    for a per-event path. *)
 
 val events_processed : t -> int
 (** Total events run since creation; a cheap progress/cost metric. *)

@@ -306,7 +306,6 @@ let prune_client t ~index prefixes =
   let stale =
     Bgp.Rib.peer_prefixes t.rr_rib ~peer_id:index
     |> List.filter (fun p -> not (Prefix_tbl.mem keep p))
-    |> List.sort Net.Prefix.compare
   in
   List.iter
     (fun p ->

@@ -486,34 +486,59 @@ module Naive = struct
     List.sort
       (fun (p, _) (q, _) -> Net.Prefix.compare p q)
       (Hashtbl.fold (fun p routes acc -> (p, routes) :: acc) t [])
+  let peer_prefixes t ~peer_id =
+    List.filter_map
+      (fun (p, routes) ->
+        if List.exists (fun (r : Route.t) -> r.peer_id = peer_id) routes then Some p
+        else None)
+      (dump t)
 end
 
 type rib_op =
   | Op_announce of int * int * int (* peer, prefix index, local pref *)
   | Op_withdraw of int * int
   | Op_peer_down of int
+  | Op_announce_run of int * int * int * int (* peer, first prefix, count, local pref *)
 
-let equiv_prefixes = [|"1.0.0.0/24"; "2.0.0.0/24"; "3.0.0.0/16"; "4.4.0.0/20"|]
+(* Sparse ids either side of byte and 64-bit word boundaries, so the
+   per-peer index is keyed on ids that are not slot-like. *)
+let equiv_peers = [|0; 1; 7; 8; 63; 64; 200|]
 
+(* 80 prefixes over many mask lengths: more than 64 slots, so slots
+   cross byte and word boundaries and every peer's bitmap must grow. *)
+let equiv_prefixes =
+  Array.init 80 (fun i -> Net.Prefix.make (Net.Ipv4.of_octets (1 + i) i 0 0) (8 + (i mod 25)))
+
+(* Biased towards whole-peer withdrawals followed by runs of
+   re-announcements: prefixes lose their last candidate and come back,
+   so slots are recycled under prefixes other than their last owner. *)
 let gen_rib_op =
   QCheck.map
-    (fun (kind, peer, prefix, lp) ->
-      if kind < 6 then Op_announce (peer, prefix, 100 + (10 * lp))
-      else if kind < 9 then Op_withdraw (peer, prefix)
-      else Op_peer_down peer)
-    QCheck.(quad (0 -- 9) (0 -- 2) (0 -- 3) (0 -- 3))
+    (fun (kind, peer, (prefix, count), lp) ->
+      let peer = equiv_peers.(peer) in
+      if kind < 4 then Op_announce (peer, prefix, 100 + (10 * lp))
+      else if kind < 6 then Op_withdraw (peer, prefix)
+      else if kind < 8 then Op_peer_down peer
+      else Op_announce_run (peer, prefix, count, 100 + (10 * lp)))
+    QCheck.(quad (0 -- 10) (0 -- 6) (pair (0 -- 79) (1 -- 40)) (0 -- 3))
 
 let change_matches (c : Rib.change) (p, before, after) =
   Net.Prefix.equal c.Rib.prefix p
   && List.equal Route.equal c.Rib.before before
   && List.equal Route.equal c.Rib.after after
 
+let same_change c reference =
+  match c, reference with
+  | None, None -> true
+  | Some c, Some reference -> change_matches c reference
+  | Some _, None | None, Some _ -> false
+
 let indexed_equivalence_tests =
   [
     Test_seed.to_alcotest
       (QCheck.Test.make ~name:"indexed rib == naive reference on random interleavings"
          ~count:300
-         QCheck.(small_list gen_rib_op)
+         QCheck.(list_of_size Gen.(0 -- 60) gen_rib_op)
          (fun ops ->
            let rib = Rib.create () in
            let naive = Naive.create () in
@@ -522,28 +547,36 @@ let indexed_equivalence_tests =
                ~router_id:(Fmt.str "10.0.0.%d" (peer + 2))
                (attrs ~local_pref:lp (Fmt.str "10.0.0.%d" (peer + 2)))
            in
+           let announce peer prefix_idx lp =
+             let p = equiv_prefixes.(prefix_idx mod Array.length equiv_prefixes) in
+             let r = route_for peer lp in
+             same_change (Rib.announce rib p r) (Naive.announce naive p r)
+           in
            let step_ok = function
-             | Op_announce (peer, prefix_idx, lp) ->
-               let p = pfx equiv_prefixes.(prefix_idx) in
-               let r = route_for peer lp in
-               (match Rib.announce rib p r, Naive.announce naive p r with
-               | None, None -> true
-               | Some c, Some reference -> change_matches c reference
-               | Some _, None | None, Some _ -> false)
+             | Op_announce (peer, prefix_idx, lp) -> announce peer prefix_idx lp
              | Op_withdraw (peer, prefix_idx) ->
-               let p = pfx equiv_prefixes.(prefix_idx) in
-               (match Rib.withdraw rib p ~peer_id:peer, Naive.withdraw naive p ~peer_id:peer with
-               | None, None -> true
-               | Some c, Some reference -> change_matches c reference
-               | Some _, None | None, Some _ -> false)
+               let p = equiv_prefixes.(prefix_idx) in
+               same_change (Rib.withdraw rib p ~peer_id:peer)
+                 (Naive.withdraw naive p ~peer_id:peer)
              | Op_peer_down peer ->
                let changes = Rib.withdraw_peer rib ~peer_id:peer in
                let reference = Naive.withdraw_peer naive ~peer_id:peer in
                List.length changes = List.length reference
                && List.for_all2 change_matches changes reference
-               && Rib.peer_prefix_count rib ~peer_id:peer = 0
+             | Op_announce_run (peer, first, count, lp) ->
+               List.for_all (fun i -> announce peer (first + i) lp) (List.init count Fun.id)
            in
-           List.for_all step_ok ops
+           (* The per-peer index agrees with the model after every step,
+              prefix for prefix and in ascending order. *)
+           let index_ok () =
+             Array.for_all
+               (fun peer_id ->
+                 let expected = Naive.peer_prefixes naive ~peer_id in
+                 Rib.peer_prefix_count rib ~peer_id = List.length expected
+                 && List.equal Net.Prefix.equal (Rib.peer_prefixes rib ~peer_id) expected)
+               equiv_peers
+           in
+           List.for_all (fun op -> step_ok op && index_ok ()) ops
            &&
            (* Final tables agree entry for entry. *)
            let dump =
@@ -553,6 +586,29 @@ let indexed_equivalence_tests =
            List.equal
              (fun (p, rs) (q, qs) -> Net.Prefix.equal p q && List.equal Route.equal rs qs)
              dump (Naive.dump naive)));
+    Alcotest.test_case "a recycled slot does not leak into its old peer's index" `Quick
+      (fun () ->
+        let rib = Rib.create () in
+        let x = pfx "1.0.0.0/24" and y = pfx "2.0.0.0/24" in
+        ignore (Rib.announce rib x (route ~peer_id:0 (attrs "10.0.0.2")));
+        ignore (Rib.withdraw rib x ~peer_id:0);
+        Alcotest.(check int) "x is gone" 0 (Rib.cardinal rib);
+        (* y takes the slot x held, through another peer. *)
+        ignore
+          (Rib.announce rib y (route ~peer_id:1 ~router_id:"10.0.0.3" (attrs "10.0.0.3")));
+        Alcotest.(check (list string)) "peer 0 lists nothing" []
+          (List.map Net.Prefix.to_string (Rib.peer_prefixes rib ~peer_id:0));
+        Alcotest.(check (list string)) "peer 1 lists y" ["2.0.0.0/24"]
+          (List.map Net.Prefix.to_string (Rib.peer_prefixes rib ~peer_id:1));
+        Alcotest.(check int) "peer 0's withdrawal reports nothing" 0
+          (List.length (Rib.withdraw_peer rib ~peer_id:0));
+        Alcotest.(check int) "y survives" 1 (List.length (Rib.ordered rib y));
+        (* With one prefix of its own again, peer 0 lists exactly that:
+           a bit left behind in x's old slot would surface y here. *)
+        let w = pfx "3.0.0.0/24" in
+        ignore (Rib.announce rib w (route ~peer_id:0 (attrs "10.0.0.2")));
+        Alcotest.(check (list string)) "peer 0 lists only w" ["3.0.0.0/24"]
+          (List.map Net.Prefix.to_string (Rib.peer_prefixes rib ~peer_id:0)));
   ]
 
 let channel_tests =

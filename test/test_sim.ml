@@ -240,11 +240,24 @@ let engine_tests =
     Alcotest.test_case "pending counts live events" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let h = Sim.Engine.schedule_after e (Sim.Time.of_ms 1) (fun () -> ()) in
-        ignore (Sim.Engine.schedule_after e (Sim.Time.of_ms 2) (fun () -> ()));
+        let ran = Sim.Engine.schedule_after e (Sim.Time.of_ms 2) (fun () -> ()) in
         Alcotest.(check int) "two pending" 2 (Sim.Engine.pending e);
         Sim.Engine.cancel h;
+        Alcotest.(check int) "cancel drops it" 1 (Sim.Engine.pending e);
+        Sim.Engine.cancel h;
+        Alcotest.(check int) "second cancel changes nothing" 1 (Sim.Engine.pending e);
         Sim.Engine.run e;
-        Alcotest.(check int) "drained" 0 (Sim.Engine.pending e));
+        Alcotest.(check int) "cancelled event not run" 1 (Sim.Engine.events_processed e);
+        Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
+        Sim.Engine.cancel ran;
+        Alcotest.(check int) "cancel after run changes nothing" 0 (Sim.Engine.pending e);
+        (* A periodic task's handle is never queued; its next tick is. *)
+        let task = Sim.Engine.every e ~interval:(Sim.Time.of_ms 1) (fun () -> ()) in
+        Alcotest.(check int) "one tick queued" 1 (Sim.Engine.pending e);
+        Sim.Engine.cancel task;
+        Alcotest.(check int) "queued tick still counted" 1 (Sim.Engine.pending e);
+        Sim.Engine.run e;
+        Alcotest.(check int) "tick drained" 0 (Sim.Engine.pending e));
   ]
 
 let alignment_properties =
