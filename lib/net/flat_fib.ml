@@ -17,26 +17,32 @@
    insert and shared across the expanded range, so [lookup_value]
    returns a stored immutable and allocates nothing. A parallel
    [Bytes] of per-slot prefix lengths (0xff = empty) drives the
-   overwrite rule on insert and tells a removal which slots it owns; a
-   plain [Lpm] trie keeps the authoritative binding set for
-   [find_exact]/[iter]/removal-replacement queries off the hot path.
+   overwrite rule on insert and tells a removal which slots it owns.
+   A prefix-keyed hashtable holding those same [Some] cells is the
+   authoritative binding set for [find_exact], [iter] and the removal
+   refill, all off the hot path.
 
    Interior nodes live in a pool indexed by int (0 = the never-read
    sentinel, standing for "no child"), with a free list so removal
-   churn recycles rather than leaks. *)
+   churn recycles rather than leaks. Only level-1 nodes ever have
+   children, so every node starts on the table's shared all-zero
+   [no_children] array and gets its own on its first level-2 child. *)
+
+module Prefix_table = Hashtbl.Make (Prefix)
 
 type 'a node = {
   values : 'a option array; (* 256 slots *)
   plens : Bytes.t;          (* per-slot owning prefix length; 0xff = empty *)
-  children : int array;     (* pool indices; 0 = none *)
+  mutable children : int array; (* pool indices, 0 = none; or [no_children] *)
   mutable occupied : int;   (* set slots + live children; 0 = freeable *)
 }
 
 type 'a t = {
-  trie : 'a Lpm.t; (* authoritative bindings; replacement queries *)
+  bindings : 'a option Prefix_table.t; (* always [Some], the cell the slots share *)
   root_values : 'a option array; (* 65536 *)
   root_plens : Bytes.t;
   root_children : int array;
+  no_children : int array; (* 256 zeros, never written *)
   mutable pool : 'a node array;
   mutable pool_len : int;
   mutable free : int list;
@@ -50,25 +56,27 @@ let sentinel () =
 
 let create () =
   {
-    trie = Lpm.create ();
+    bindings = Prefix_table.create 64;
     root_values = Array.make root_slots None;
     root_plens = Bytes.make root_slots '\xff';
     root_children = Array.make root_slots 0;
+    no_children = Array.make 256 0;
     pool = [| sentinel () |];
     pool_len = 1;
     free = [];
   }
 
-let new_node () =
+let new_node t =
   {
     values = Array.make 256 None;
     plens = Bytes.make 256 '\xff';
-    children = Array.make 256 0;
+    children = t.no_children;
     occupied = 0;
   }
 
-(* A recycled node was emptied slot by slot before it was freed, so it
-   comes back clean; only pool growth allocates. *)
+(* A recycled node was emptied slot by slot before it was freed, and
+   gave back its child array, so it comes back clean; only pool growth
+   allocates. *)
 let alloc_node t =
   match t.free with
   | i :: rest ->
@@ -81,9 +89,15 @@ let alloc_node t =
       t.pool <- grown
     end;
     let i = t.pool_len in
-    t.pool.(i) <- new_node ();
+    t.pool.(i) <- new_node t;
     t.pool_len <- t.pool_len + 1;
     i
+
+(* A node is freed only once [occupied] is 0, so its own child array,
+   if it had one, is all zeros and can go. *)
+let free_node t idx =
+  t.pool.(idx).children <- t.no_children;
+  t.free <- idx :: t.free
 
 (* Write [sv] into every slot of [base, base+count) not owned by a
    longer prefix. An equal stored length can only be this same prefix
@@ -118,6 +132,7 @@ let ensure_root_child t ri =
 let ensure_child t n i1 =
   match n.children.(i1) with
   | 0 ->
+    if n.children == t.no_children then n.children <- Array.make 256 0;
     let i = alloc_node t in
     n.children.(i1) <- i;
     n.occupied <- n.occupied + 1;
@@ -125,10 +140,10 @@ let ensure_child t n i1 =
   | c -> t.pool.(c)
 
 let insert t prefix v =
-  Lpm.insert t.trie prefix v;
+  let sv = Some v in
+  Prefix_table.replace t.bindings prefix sv;
   let len = Prefix.length prefix in
   let net = Ipv4.to_int (Prefix.network prefix) in
-  let sv = Some v in
   if len <= 16 then
     set_root_range t ~base:(net lsr 16) ~count:(1 lsl (16 - len)) ~len sv
   else begin
@@ -144,73 +159,70 @@ let insert t prefix v =
     end
   end
 
-(* Removal: vacate every slot the prefix owned (stored length = its
+(* Removal vacates every slot the prefix owned (stored length = its
    length — two equal-length prefixes never overlap, so ownership is
-   unambiguous), then refill each from the next-best prefix in the
-   level's length band. The trie answers that query after the binding
-   is gone, so the replacement is exact. *)
-let refill_root t i =
-  let addr = Ipv4.of_int (i lsl 16) in
-  match Lpm.best_in_range t.trie addr ~lo:0 ~hi:16 with
-  | Some (plen, v) ->
-    t.root_values.(i) <- Some v;
-    Bytes.set_uint8 t.root_plens i plen
-  | None ->
-    t.root_values.(i) <- None;
-    Bytes.set_uint8 t.root_plens i empty_plen
+   unambiguous). A vacated slot was owned by no longer prefix, so its
+   replacement is the longest bound prefix shorter than the removed
+   one, within the level's band, that covers the slot; and any such
+   prefix covers the whole removed range. One probe per length, from
+   [len - 1] down to the band's [floor], answers for every vacated
+   slot at once. *)
+let replacement t net ~len ~floor =
+  let addr = Ipv4.of_int net in
+  let rec probe l =
+    if l < floor then (empty_plen, None)
+    else
+      match Prefix_table.find t.bindings (Prefix.make addr l) with
+      | sv -> (l, sv)
+      | exception Not_found -> probe (l - 1)
+  in
+  probe (len - 1)
 
-let refill_node t n ~slot_addr ~lo ~hi i =
-  let addr = Ipv4.of_int slot_addr in
-  match Lpm.best_in_range t.trie addr ~lo ~hi with
-  | Some (plen, v) ->
-    n.values.(i) <- Some v;
-    Bytes.set_uint8 n.plens i plen
-  | None ->
-    n.values.(i) <- None;
-    Bytes.set_uint8 n.plens i empty_plen;
-    n.occupied <- n.occupied - 1
+let vacate_root t ~base ~count ~len (plen, sv) =
+  for i = base to base + count - 1 do
+    if Bytes.get_uint8 t.root_plens i = len then begin
+      t.root_values.(i) <- sv;
+      Bytes.set_uint8 t.root_plens i plen
+    end
+  done
 
-let free_node t idx = t.free <- idx :: t.free
+let vacate_node n ~base ~count ~len (plen, sv) =
+  for i = base to base + count - 1 do
+    if Bytes.get_uint8 n.plens i = len then begin
+      n.values.(i) <- sv;
+      Bytes.set_uint8 n.plens i plen;
+      if plen = empty_plen then n.occupied <- n.occupied - 1
+    end
+  done
 
 let remove t prefix =
-  if Option.is_some (Lpm.find_exact t.trie prefix) then begin
-    Lpm.remove t.trie prefix;
+  if Prefix_table.mem t.bindings prefix then begin
+    Prefix_table.remove t.bindings prefix;
     let len = Prefix.length prefix in
     let net = Ipv4.to_int (Prefix.network prefix) in
-    if len <= 16 then begin
-      let base = net lsr 16 in
-      for i = base to base + (1 lsl (16 - len)) - 1 do
-        if Bytes.get_uint8 t.root_plens i = len then refill_root t i
-      done
-    end
+    if len <= 16 then
+      vacate_root t ~base:(net lsr 16) ~count:(1 lsl (16 - len)) ~len
+        (replacement t net ~len ~floor:0)
     else begin
       let ri = net lsr 16 in
       match t.root_children.(ri) with
       | 0 -> () (* insert created the node; unreachable for a live binding *)
       | c1 ->
         let n1 = t.pool.(c1) in
-        (if len <= 24 then begin
-           let base = (net lsr 8) land 0xff in
-           for i = base to base + (1 lsl (24 - len)) - 1 do
-             if Bytes.get_uint8 n1.plens i = len then
-               refill_node t n1
-                 ~slot_addr:((ri lsl 16) lor (i lsl 8))
-                 ~lo:17 ~hi:24 i
-           done
-         end
+        (if len <= 24 then
+           vacate_node n1
+             ~base:((net lsr 8) land 0xff)
+             ~count:(1 lsl (24 - len))
+             ~len
+             (replacement t net ~len ~floor:17)
          else begin
            let i1 = (net lsr 8) land 0xff in
            match n1.children.(i1) with
            | 0 -> ()
            | c2 ->
              let n2 = t.pool.(c2) in
-             let base = net land 0xff in
-             for i = base to base + (1 lsl (32 - len)) - 1 do
-               if Bytes.get_uint8 n2.plens i = len then
-                 refill_node t n2
-                   ~slot_addr:((ri lsl 16) lor (i1 lsl 8) lor i)
-                   ~lo:25 ~hi:32 i
-             done;
+             vacate_node n2 ~base:(net land 0xff) ~count:(1 lsl (32 - len)) ~len
+               (replacement t net ~len ~floor:25);
              if n2.occupied = 0 then begin
                n1.children.(i1) <- 0;
                n1.occupied <- n1.occupied - 1;
@@ -292,16 +304,27 @@ let[@lint.zero_alloc] lookup_batch t addrs out =
     Array.unsafe_set out k (lookup_value t (Array.unsafe_get addrs k))
   done
 
-let find_exact t prefix = Lpm.find_exact t.trie prefix
-let iter t f = Lpm.iter t.trie f
-let fold t ~init ~f = Lpm.fold t.trie ~init ~f
-let to_list t = Lpm.to_list t.trie
-let cardinal t = Lpm.cardinal t.trie
-let is_empty t = Lpm.is_empty t.trie
+let find_exact t prefix =
+  match Prefix_table.find t.bindings prefix with
+  | sv -> sv
+  | exception Not_found -> None
+
+(* [Prefix.compare] is (unsigned network, length): the pre-order of a
+   binary trie over the same prefixes. *)
+let to_list t =
+  Prefix_table.fold
+    (fun p sv acc -> match sv with Some v -> (p, v) :: acc | None -> acc)
+    t.bindings []
+  |> List.sort (fun (p, _) (q, _) -> Prefix.compare p q)
+
+let iter t f = List.iter (fun (p, v) -> f p v) (to_list t)
+let fold t ~init ~f = List.fold_left (fun acc (p, v) -> f acc p v) init (to_list t)
+let cardinal t = Prefix_table.length t.bindings
+let is_empty t = cardinal t = 0
 let nodes t = t.pool_len - 1 - List.length t.free
 
 let clear t =
-  Lpm.clear t.trie;
+  Prefix_table.reset t.bindings;
   Array.fill t.root_values 0 root_slots None;
   Bytes.fill t.root_plens 0 root_slots '\xff';
   Array.fill t.root_children 0 root_slots 0;

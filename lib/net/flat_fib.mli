@@ -8,11 +8,18 @@
     stored when the binding was made.
 
     The trade: inserts and removals pay the expansion (up to 65536 slot
-    writes for a /0; removals re-derive vacated slots from an internal
-    {!Lpm} trie), and each table holds ~1.1 MiB of root arrays. That is
-    the right trade for a FIB — read-dominated by orders of magnitude —
-    and why the update path keeps the trie as its authoritative record
-    rather than trying to make expansion reversible arithmetically. *)
+    writes for a /0), and each table holds ~1.1 MiB of root arrays.
+    That is the right trade for a FIB, read-dominated by orders of
+    magnitude.
+
+    The update side keeps only what lookups and updates need. The
+    authoritative binding set is a prefix-keyed hashtable, not a trie.
+    A removal vacates the slots the prefix owned and refills them all
+    with one replacement: the longest shorter prefix, within the
+    level's length band, covering the removed network, found by at
+    most one hashtable probe per length. Level-1 nodes share one
+    all-zero child array per table until they first need a level-2
+    child; level-2 nodes never get their own. *)
 
 type 'a t
 
@@ -51,12 +58,14 @@ val cardinal : 'a t -> int
 val is_empty : 'a t -> bool
 
 val iter : 'a t -> (Prefix.t -> 'a -> unit) -> unit
-(** Visits bindings in trie (lexicographic bit-string) order. *)
+(** Visits bindings in {!Prefix.compare} order (unsigned network, then
+    length): the same order as {!Lpm.iter}. Sorts the bindings first,
+    so it is not for a hot path. *)
 
 val fold : 'a t -> init:'b -> f:('b -> Prefix.t -> 'a -> 'b) -> 'b
 
 val to_list : 'a t -> (Prefix.t * 'a) list
-(** Bindings in trie order. *)
+(** Bindings in {!Prefix.compare} order, as {!iter}. *)
 
 val nodes : 'a t -> int
 (** Live interior (level-1/level-2) nodes — exposed so tests can assert

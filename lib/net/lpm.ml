@@ -96,25 +96,6 @@ let lookup t addr =
   in
   walk t.root 0 None
 
-(* Constrained longest-match: the replacement query the flat FIB needs
-   when a removal vacates expanded slots. Only prefixes whose length
-   falls in [lo, hi] are candidates, and the winner's length comes back
-   alongside the value so the caller can re-stamp the slot. *)
-let best_in_range t addr ~lo ~hi =
-  let rec walk node depth best =
-    let best =
-      if depth >= lo then
-        match node.value with Some v -> Some (depth, v) | None -> best
-      else best
-    in
-    if depth = hi then best
-    else
-      match child node (Ipv4.bit addr depth) with
-      | None -> best
-      | Some c -> walk c (depth + 1) best
-  in
-  walk t.root 0 None
-
 let iter t f =
   (* Reconstructs each prefix from the path; [bits] accumulates the path
      as an address value built most-significant-bit first. *)

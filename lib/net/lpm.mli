@@ -4,9 +4,9 @@
     removing is O(prefix length); lookup is O(32) node hops and
     allocates a tuple per hit. The forwarding hot paths now run on
     {!Flat_fib} (a stride-compressed multibit table); this trie remains
-    the simple, obviously-correct reference — the qcheck oracle the flat
-    structure is checked against — and the bookkeeping structure inside
-    {!Flat_fib} itself. *)
+    the simple, obviously-correct reference that the flat structure is
+    checked against, by the qcheck properties and by the dataplane
+    benchmark's output check. *)
 
 type 'a t
 
@@ -23,11 +23,6 @@ val find_exact : 'a t -> Prefix.t -> 'a option
 
 val lookup : 'a t -> Ipv4.t -> (Prefix.t * 'a) option
 (** Longest-prefix match for an address. *)
-
-val best_in_range : 'a t -> Ipv4.t -> lo:int -> hi:int -> (int * 'a) option
-(** Longest-prefix match restricted to prefixes whose length lies in
-    [\[lo, hi\]]; returns the winning length with the value. Used by
-    {!Flat_fib} to recompute expanded slots after a removal. *)
 
 val cardinal : 'a t -> int
 (** Number of bound prefixes. *)

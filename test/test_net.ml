@@ -300,6 +300,36 @@ let lpm_tests =
            Lpm.is_empty t));
   ]
 
+(* Random churn around one base address: each op takes the base's
+   prefix at a length drawn from all three stride bands (with extra
+   weight on the band edges /0, /16, /17, /24, /25 and /32), sometimes
+   with one address bit flipped first, so the prefixes nest under one
+   another and have near siblings. [None] removes. *)
+let nested_prefix base (len, flip, _) = Prefix.make (Ipv4.of_int (base lxor flip)) len
+
+let arbitrary_nested_churn =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (1, int_bound 32);
+        (2, oneofl [0; 1; 8; 15; 16; 17; 20; 23; 24; 25; 28; 31; 32]) ]
+  in
+  let flip = frequency [(1, return 0); (1, map (fun k -> 1 lsl k) (int_bound 31))] in
+  let value = frequency [(2, map Option.some small_nat); (1, return None)] in
+  let gen =
+    pair (map (fun x -> x land 0xFFFF_FFFF) int)
+      (list_size (int_range 1 40) (triple len flip value))
+  in
+  let print (base, ops) =
+    String.concat "; "
+      (List.map
+         (fun ((_, _, v) as op) ->
+           let p = Prefix.to_string (nested_prefix base op) in
+           match v with Some v -> Printf.sprintf "+%s=%d" p v | None -> "-" ^ p)
+         ops)
+  in
+  QCheck.make ~print gen
+
 let flat_fib_tests =
   let pfx = Prefix.v in
   let ip = Ipv4.of_string_exn in
@@ -324,6 +354,16 @@ let flat_fib_tests =
       "10.200.3.4"; "172.16.9.9"; "172.32.0.1"; "192.168.0.7";
       "192.168.1.5"; "192.168.1.200"; "192.168.2.1"; "255.255.255.255";
     ]
+  in
+  (* Each pool prefix's first and last address and the addresses just
+     outside it: where a removal's single replacement must stop. *)
+  let pool_boundaries =
+    Array.to_list pool
+    |> List.concat_map (fun s ->
+           let p = pfx s in
+           let first = Ipv4.to_int (Prefix.first p)
+           and last = Ipv4.to_int (Prefix.last p) in
+           List.map Ipv4.of_int [first; last; first - 1; last + 1])
   in
   let agree msg oracle t =
     List.iter
@@ -431,7 +471,7 @@ let flat_fib_tests =
         agree "full pool" oracle t);
     Test_seed.to_alcotest
       (QCheck.Test.make ~name:"flat fib agrees with the trie under churn"
-         ~count:150
+         ~count:300
          QCheck.(
            small_list (pair (int_bound (Array.length pool - 1)) (option small_int)))
          (fun ops ->
@@ -452,13 +492,115 @@ let flat_fib_tests =
                 (fun (p, v) (q, w) -> Prefix.equal p q && Int.equal v w)
                 (Flat_fib.to_list t) (Lpm.to_list oracle)
            && List.for_all
-                (fun a ->
-                  let addr = ip a in
+                (fun addr ->
                   let expect = Option.map snd (Lpm.lookup oracle addr) in
                   Option.equal Int.equal expect (Flat_fib.lookup_value t addr)
                   && Option.equal Int.equal expect
                        (Option.map snd (Flat_fib.lookup t addr)))
-                probe_addrs));
+                (List.map ip probe_addrs @ pool_boundaries)));
+    Test_seed.to_alcotest
+      (QCheck.Test.make
+         ~name:"flat fib agrees with the trie on nested random prefixes"
+         ~count:300 arbitrary_nested_churn
+         (fun (base, ops) ->
+           let t = Flat_fib.create () and oracle = Lpm.create () in
+           let touched = ref [] in
+           let probes = ref [Ipv4.of_int base] in
+           List.for_all
+             (fun op ->
+               let p = nested_prefix base op in
+               (match op with
+               | _, _, Some v ->
+                 Flat_fib.insert t p v;
+                 Lpm.insert oracle p v
+               | _, _, None ->
+                 Flat_fib.remove t p;
+                 Lpm.remove oracle p);
+               if not (List.exists (Prefix.equal p) !touched) then begin
+                 touched := p :: !touched;
+                 let first = Ipv4.to_int (Prefix.first p)
+                 and last = Ipv4.to_int (Prefix.last p) in
+                 probes :=
+                   List.map Ipv4.of_int [first; last; first - 1; last + 1]
+                   @ !probes
+               end;
+               Flat_fib.cardinal t = Lpm.cardinal oracle
+               && List.equal
+                    (fun (p, v) (q, w) -> Prefix.equal p q && Int.equal v w)
+                    (Flat_fib.to_list t) (Lpm.to_list oracle)
+               && List.for_all
+                    (fun q ->
+                      Option.equal Int.equal (Lpm.find_exact oracle q)
+                        (Flat_fib.find_exact t q))
+                    !touched
+               && List.for_all
+                    (fun addr ->
+                      Option.equal Int.equal
+                        (Option.map snd (Lpm.lookup oracle addr))
+                        (Flat_fib.lookup_value t addr))
+                    !probes)
+             ops));
+    Alcotest.test_case "a level-1 node's own child array comes and goes"
+      `Quick (fun () ->
+        let t = Flat_fib.create () and oracle = Lpm.create () in
+        let insert p v =
+          Flat_fib.insert t p v;
+          Lpm.insert oracle p v
+        in
+        let remove p =
+          Flat_fib.remove t p;
+          Lpm.remove oracle p
+        in
+        (* eight /24s under 10.1.0.0/16: one level-1 node, no children *)
+        let p24s =
+          List.init 8 (fun i -> Prefix.make (Ipv4.of_octets 10 1 i 0) 24)
+        in
+        let p25 = pfx "10.1.3.128/25" in
+        let probes =
+          List.concat_map
+            (fun i -> [Ipv4.of_octets 10 1 i 5; Ipv4.of_octets 10 1 i 200])
+            (List.init 9 Fun.id)
+          @ List.map ip ["10.1.3.127"; "10.1.3.128"; "10.1.3.255"; "10.1.4.0"]
+        in
+        let agree msg =
+          List.iter
+            (fun a ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s: %s" msg (Ipv4.to_string a))
+                (Option.map snd (Lpm.lookup oracle a))
+                (Flat_fib.lookup_value t a))
+            probes
+        in
+        let load () =
+          List.iteri (fun i p -> insert p (24 + i)) p24s;
+          Alcotest.(check int) "one level-1 node" 1 (Flat_fib.nodes t);
+          agree "/24s only";
+          insert p25 25;
+          Alcotest.(check int) "and one level-2 node" 2 (Flat_fib.nodes t);
+          agree "with the /25"
+        in
+        load ();
+        let loaded_words = Obj.reachable_words (Obj.repr t) in
+        remove p25;
+        Alcotest.(check int) "level-2 node freed" 1 (Flat_fib.nodes t);
+        agree "after removing the /25";
+        List.iter remove p24s;
+        Alcotest.(check int) "all freed" 0 (Flat_fib.nodes t);
+        Alcotest.(check bool) "empty" true (Flat_fib.is_empty t);
+        agree "empty";
+        load ();
+        Alcotest.(check int) "pool reused, nothing new allocated" loaded_words
+          (Obj.reachable_words (Obj.repr t)));
+    Alcotest.test_case "a 50k-prefix table stays under 12 MB" `Quick (fun () ->
+        (* About 9.9 MB; a child array on every node or a per-bit record
+           of the bindings would each push it past the limit. *)
+        let t = Flat_fib.create () in
+        Array.iteri
+          (fun i (e : Workloads.Rib_gen.entry) -> Flat_fib.insert t e.prefix i)
+          (Workloads.Rib_gen.generate ~seed:42L ~count:50_000);
+        let bytes = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8) in
+        if bytes >= 12_000_000 then
+          Alcotest.failf "50k-prefix flat fib holds %d bytes (limit 12 MB)" bytes);
     Test_seed.to_alcotest
       (QCheck.Test.make ~name:"lookup_batch agrees with lookup_value" ~count:150
          QCheck.(
