@@ -520,6 +520,15 @@ let scenario_tests =
         let b = lossy_scenario ~seed:scenario_seed ~faulty:true () in
         Alcotest.(check string) "fingerprints equal" (scenario_fingerprint a)
           (scenario_fingerprint b));
+    Alcotest.test_case "the seed-42 lossy scenario replays a pinned fingerprint"
+      `Quick (fun () ->
+        (* A fixed seed, not FAULT_SEED: this pins the rig's exact event
+           sequence, so a change to how the rig is built shows up here. *)
+        Alcotest.(check string) "fingerprint"
+          "ch=[5/0/0/0;49/4/12/0;5/0/0/0;5/0/0/0] router=54/6/3/0 of=44/0/0/0 \
+           flow_mods=15 failovers=4 announced=60 ack_timeouts=0 retries=0 \
+           suppressed=3 degradations=0 recoveries=0"
+          (scenario_fingerprint (lossy_scenario ~seed:42L ~faulty:true ())));
     Alcotest.test_case "switch blackout degrades, recovery re-supercharges"
       `Quick (fun () ->
         Fmt.epr "[test_faults] blackout scenario seed %Ld@." scenario_seed;
