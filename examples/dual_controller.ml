@@ -1,7 +1,7 @@
 (* Reliability (§3 of the paper): two supercharger replicas, no shared
    state. Both receive the same BGP sessions and compute identical
-   VNH/VMAC assignments and switch rules. This example wires the lab by
-   hand using the public API, then:
+   VNH/VMAC assignments and switch rules. This example builds the Fig. 4
+   lab with two replicas and a real R1, then:
 
      1. loads a table and shows both replicas computed identical state;
      2. kills controller 1 (all its sessions drop) — the router keeps
@@ -12,119 +12,41 @@
 
    Run with: dune exec examples/dual_controller.exe *)
 
-let ip = Net.Ipv4.of_string_exn
-let mac = Net.Mac.of_string_exn
 let sec = Sim.Time.of_sec
 
 let () =
   let engine = Sim.Engine.create ~seed:7L () in
   let run_for s = Sim.Engine.run ~until:(Sim.Time.add (Sim.Engine.now engine) (sec s)) engine in
 
-  (* Devices: R1, providers R2/R3, the switch, two controllers. *)
-  let switch = Openflow.Switch.create engine ~name:"switch" ~n_ports:5 () in
+  (* R1, providers R2/R3, the switch and two controller replicas, each
+     with its own switch attachment, BFD NIC and BGP sessions. *)
   let r1 =
-    Router.Legacy.create engine ~name:"r1" ~asn:(Bgp.Asn.of_int 65001)
-      ~router_id:(ip "10.0.0.1")
+    Router.Legacy.create engine ~name:"r1" ~asn:Experiments.Lab.asn_r1
+      ~router_id:Experiments.Lab.ip_r1
       ~interfaces:
         [
           {
-            Router.Legacy.if_mac = mac "00:aa:00:00:00:01";
-            if_ip = ip "10.0.0.1";
+            Router.Legacy.if_mac = Experiments.Lab.mac_r1;
+            if_ip = Experiments.Lab.ip_r1;
             if_connected = Net.Prefix.v "10.0.0.0/8";
           };
         ]
       ()
   in
-  let provider name octet =
-    Router.Peer.create engine ~name ~asn:(Bgp.Asn.of_int (65000 + octet))
-      ~mac:(mac (Fmt.str "00:bb:00:00:00:0%d" octet))
-      ~ip:(ip (Fmt.str "10.0.0.%d" octet))
-      ()
-  in
-  let r2 = provider "r2" 2 and r3 = provider "r3" 3 in
-
-  (* Physical wiring. *)
-  let plug device_connect port name =
-    let link = Net.Link.create engine ~name () in
-    device_connect link Net.Link.A;
-    Openflow.Switch.attach_link switch ~port link Net.Link.B;
-    link
-  in
-  ignore (plug (Router.Legacy.connect_interface r1 0) 0 "r1-sw");
-  let link_r2 = plug (Router.Peer.connect r2) 1 "r2-sw" in
-  ignore (plug (Router.Peer.connect r3) 2 "r3-sw");
-
-  (* Plain L2 rules so unicast frames find their ports. *)
-  List.iter
-    (fun (m, port) ->
-      Openflow.Flow_table.apply (Openflow.Switch.table switch)
-        (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-           (Openflow.Ofmatch.dl_dst (mac m))
-           [Openflow.Action.Output port]))
-    [
-      ("00:aa:00:00:00:01", 0); ("00:bb:00:00:00:02", 1); ("00:bb:00:00:00:03", 2);
-      ("00:cc:00:00:00:01", 3); ("00:cc:00:00:00:02", 4);
-    ];
-
-  (* Two controller replicas, each with its own switch attachment, BFD
-     NIC and BGP sessions. *)
-  let r1_channels = ref [] in
-  let make_controller i =
-    let c =
-      Supercharger.Controller.create engine
-        ~name:(Fmt.str "controller%d" i)
-        ~asn:(Bgp.Asn.of_int 65001)
-        ~router_id:(ip (Fmt.str "10.0.0.%d" (9 + i)))
-        ()
-    in
-    Supercharger.Controller.connect_switch c switch;
-    let nic =
-      Router.Endhost.create engine ~name:(Fmt.str "c%d-nic" i)
-        ~mac:(mac (Fmt.str "00:cc:00:00:00:0%d" i))
-        ~ip:(ip (Fmt.str "10.0.0.%d" (9 + i)))
-        ()
-    in
-    ignore (plug (Router.Endhost.connect nic) (2 + i) (Fmt.str "c%d-sw" i));
-    Supercharger.Controller.attach_dataplane c nic;
-    let upstream peer_node lp port =
-      let ch = Bgp.Channel.create engine () in
-      ignore
-        (Supercharger.Controller.add_upstream_peer c ~name:(Router.Peer.name peer_node)
-           ~ip:(Router.Peer.ip peer_node) ~mac:(Router.Peer.mac peer_node)
-           ~switch_port:port ~channel:ch ~side:Bgp.Channel.A ~import_local_pref:lp ());
-      ignore
-        (Router.Peer.add_bgp_peer peer_node ~name:(Fmt.str "c%d" i) ~channel:ch
-           ~side:Bgp.Channel.B ())
-    in
-    upstream r2 200 1;
-    upstream r3 100 2;
-    let ch_r1 = Bgp.Channel.create engine () in
-    ignore (Supercharger.Controller.add_router c ~name:"r1" ~channel:ch_r1 ~side:Bgp.Channel.A ());
-    ignore
-      (Router.Legacy.add_bgp_peer r1 ~name:(Fmt.str "c%d" i) ~channel:ch_r1
-         ~side:Bgp.Channel.B ());
-    r1_channels := (i, ch_r1) :: !r1_channels;
-    c
-  in
-  let c1 = make_controller 1 in
-  let c2 = make_controller 2 in
-  List.iter Supercharger.Controller.start [c1; c2];
-  Bgp.Speaker.start (Router.Legacy.speaker r1);
-  Bgp.Speaker.start (Router.Peer.speaker r2);
-  Bgp.Speaker.start (Router.Peer.speaker r3);
+  let lab = Experiments.Lab.create engine ~r1 ~n_peers:2 ~replicas:2 () in
+  let c1 = lab.replicas.(0).controller and c2 = lab.replicas.(1).controller in
+  Experiments.Lab.start lab;
   run_for 1.0;
 
   (* Load a small table from both providers. *)
   let entries = Workloads.Rib_gen.generate ~seed:7L ~count:500 in
-  List.iter
-    (fun (peer_node, asn, nh) ->
+  Array.iteri
+    (fun i peer ->
       List.iter
-        (Router.Peer.announce_to_all peer_node)
-        (Workloads.Rib_gen.to_updates entries ~speaker_asn:asn ~next_hop:nh))
-    [
-      (r2, Bgp.Asn.of_int 65002, ip "10.0.0.2");
-      (r3, Bgp.Asn.of_int 65003, ip "10.0.0.3");
-    ];
+        (Router.Peer.announce_to_all peer)
+        (Workloads.Rib_gen.to_updates entries ~speaker_asn:(Experiments.Lab.asn_peer i)
+           ~next_hop:(Experiments.Lab.ip_peer i)))
+    lab.peers;
   run_for 5.0;
 
   let digest c =
@@ -144,9 +66,7 @@ let () =
 
   (* Kill controller 1: all of its BGP sessions drop at once. *)
   let fib_writes_before = Router.Fib.applied_count (Router.Legacy.fib r1) in
-  (match List.assoc_opt 1 !r1_channels with
-  | Some ch -> Bgp.Channel.break ch
-  | None -> ());
+  Bgp.Channel.break lab.replicas.(0).downstream;
   run_for 5.0;
   Fmt.pr "Controller 1 killed.@.";
   Fmt.pr "  R1 FIB writes caused by the failover: %d (identical routes from@."
@@ -158,7 +78,7 @@ let () =
   Supercharger.Controller.on_failover c2 (fun ~failed ~flow_mods ->
       reroute_done := Some (failed, flow_mods, Sim.Engine.now engine));
   let t_fail = Sim.Engine.now engine in
-  Net.Link.set_up link_r2 false;
+  Net.Link.set_up lab.peer_links.(0) false;
   run_for 5.0;
   (match !reroute_done with
   | Some (failed, flow_mods, at) ->
@@ -167,4 +87,4 @@ let () =
       Sim.Time.pp (Sim.Time.sub at t_fail)
   | None -> Fmt.pr "(!) no failover detected@.");
   Fmt.pr "  switch applied %d flow-mod(s) in total@."
-    (Openflow.Switch.flow_mods_applied switch)
+    (Openflow.Switch.flow_mods_applied lab.switch)

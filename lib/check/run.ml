@@ -1,7 +1,6 @@
 module C = Supercharger.Controller
 module Prov = Supercharger.Provisioner
-
-let ip = Net.Ipv4.of_string_exn
+module Lab = Experiments.Lab
 
 type failure = {
   schedule : Schedule.t;
@@ -28,23 +27,19 @@ let dup_profile = Sim.Faults.profile ~duplicate:0.3 "dup"
 (* --- the rig ----------------------------------------------------------- *)
 
 type rig = {
+  lab : Lab.t;
   engine : Sim.Engine.t;
-  switch : Openflow.Switch.t;
   controller : C.t;
-  peers : Router.Peer.t array;
-  peer_links : Net.Link.t array;
   link_up : bool array;
   channel_faults : Sim.Faults.t array;
   router_faults : Sim.Faults.t;
   of_faults : Sim.Faults.t;
-  router_rx : int ref;
   oracle : Oracle.t;
   subject : Invariants.subject;
 }
 
-(* Same topology as the fault-scenario rig: [n_peers] upstream providers
-   on ports 1..n, the controller NIC on port [1+n], a dummy downstream
-   router answering the BGP handshake. No import LOCAL_PREF policy —
+(* One controller replica in the Fig. 4 lab, with a recording R1 and a
+   fault injector on every message path. No import LOCAL_PREF policy:
    ranking must come from the announced attributes alone, so the oracle
    (which sees the same attributes) ranks identically. The linger is
    short so schedules exercise group GC and VNH/VMAC recycling within
@@ -53,112 +48,56 @@ let make_rig (sched : Schedule.t) =
   let seed = sched.Schedule.seed in
   let n_peers = sched.Schedule.n_peers in
   let engine = Sim.Engine.create ~seed () in
-  let injector name salt profile =
-    Sim.Faults.create engine ~name ~seed:(Int64.add seed (Int64.of_int salt)) profile
+  let injector name salt =
+    Sim.Faults.create engine ~name ~seed:(Int64.add seed (Int64.of_int salt))
+      Sim.Faults.none
   in
-  let switch = Openflow.Switch.create engine ~n_ports:(2 + n_peers) () in
-  let controller =
-    C.create engine ~name:"c1" ~asn:(Bgp.Asn.of_int 65001)
-      ~router_id:(ip "10.0.0.100") ~group_linger:(Sim.Time.of_ms 400)
-      ~bfd_debounce:(Sim.Time.of_ms 100) ~ack_timeout:(Sim.Time.of_ms 100)
-      ~probe_interval:(Sim.Time.of_ms 100) ()
+  let of_faults = injector "of" 7777 in
+  let lab =
+    Lab.create engine ~of_codec:true ~of_faults ~import_local_pref:false
+      ~controller:(fun create ->
+        create ~group_linger:(Sim.Time.of_ms 400) ~bfd_debounce:(Sim.Time.of_ms 100)
+          ~ack_timeout:(Sim.Time.of_ms 100) ~probe_interval:(Sim.Time.of_ms 100) ())
+      ~n_peers ~replicas:1 ()
   in
-  let of_faults = injector "of" 7777 Sim.Faults.none in
-  C.connect_switch ~use_codec:true ~faults:of_faults controller switch;
-  let nic_mac = Net.Mac.of_string_exn "00:cc:00:00:00:01" in
-  let nic =
-    Router.Endhost.create engine ~name:"c1-nic" ~mac:nic_mac ~ip:(ip "10.0.0.100") ()
-  in
-  let link_c = Net.Link.create engine () in
-  Router.Endhost.connect nic link_c Net.Link.A;
-  Openflow.Switch.attach_link switch ~port:(1 + n_peers) link_c Net.Link.B;
-  Openflow.Flow_table.apply (Openflow.Switch.table switch)
-    (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-       (Openflow.Ofmatch.dl_dst nic_mac)
-       [ Openflow.Action.Output (1 + n_peers) ]);
-  C.attach_dataplane controller nic;
-  let oracle = Oracle.create () in
-  let peers =
-    Array.init n_peers (fun i ->
-        Router.Peer.create engine
-          ~name:(Fmt.str "r%d" (2 + i))
-          ~asn:(Bgp.Asn.of_int (65002 + i))
-          ~mac:(Net.Mac.of_int64 (Int64.of_int (0xBB_0000_0000 + 2 + i)))
-          ~ip:(ip (Fmt.str "10.0.0.%d" (2 + i)))
-          ())
-  in
-  let channel_faults = Array.make (max n_peers 1) (injector "ch-unused" 0 Sim.Faults.none) in
-  let peer_links =
+  let replica = lab.Lab.replicas.(0) in
+  let channel_faults =
     Array.mapi
-      (fun i peer ->
-        let link = Net.Link.create engine () in
-        Router.Peer.connect peer link Net.Link.A;
-        Openflow.Switch.attach_link switch ~port:(1 + i) link Net.Link.B;
-        Openflow.Flow_table.apply (Openflow.Switch.table switch)
-          (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-             (Openflow.Ofmatch.dl_dst (Router.Peer.mac peer))
-             [ Openflow.Action.Output (1 + i) ]);
-        let ch = Bgp.Channel.create engine () in
-        let inj = injector (Fmt.str "ch%d" i) (1000 * (i + 1)) Sim.Faults.none in
+      (fun i ch ->
+        let inj = injector (Fmt.str "ch%d" i) (1000 * (i + 1)) in
         Bgp.Channel.set_faults ch inj;
-        channel_faults.(i) <- inj;
-        (* Speaker peer ids are dense in add order, so upstream [i] gets
-           id [i] — the id the oracle ranks tie-breaks with. *)
-        ignore
-          (C.add_upstream_peer controller ~name:(Router.Peer.name peer)
-             ~ip:(Router.Peer.ip peer) ~mac:(Router.Peer.mac peer)
-             ~switch_port:(1 + i) ~channel:ch ~side:Bgp.Channel.A ());
-        ignore
-          (Router.Peer.add_bgp_peer peer ~name:"c1" ~channel:ch ~side:Bgp.Channel.B ());
-        Oracle.declare_peer oracle ~id:i ~ip:(Router.Peer.ip peer)
-          ~mac:(Router.Peer.mac peer) ~port:(1 + i);
-        link)
-      peers
+        inj)
+      replica.Lab.upstream
   in
-  let router_rx = ref 0 in
-  let ch_r1 = Bgp.Channel.create engine () in
-  let router_faults = injector "router-ch" 8888 Sim.Faults.none in
-  Bgp.Channel.set_faults ch_r1 router_faults;
-  ignore (C.add_router controller ~name:"r1" ~channel:ch_r1 ~side:Bgp.Channel.A ());
-  Bgp.Channel.attach ch_r1 Bgp.Channel.B (fun msg ->
-      match msg with
-      | Bgp.Message.Open _ ->
-        Bgp.Channel.send ch_r1 Bgp.Channel.B
-          (Bgp.Message.Open
-             {
-               version = 4;
-               asn = Bgp.Asn.of_int 65001;
-               hold_time = 90;
-               router_id = ip "10.0.0.1";
-             });
-        Bgp.Channel.send ch_r1 Bgp.Channel.B Bgp.Message.Keepalive
-      | Bgp.Message.Update _ -> incr router_rx
-      | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ());
-  C.start controller;
-  Array.iter (fun p -> Bgp.Speaker.start (Router.Peer.speaker p)) peers;
+  let router_faults = injector "router-ch" 8888 in
+  Bgp.Channel.set_faults replica.Lab.downstream router_faults;
+  let oracle = Oracle.create () in
+  for i = 0 to n_peers - 1 do
+    Oracle.declare_peer oracle ~id:i ~ip:(Lab.ip_peer i)
+      ~mac:(Lab.mac_peer i) ~port:(Lab.port_peer i)
+  done;
+  Lab.start lab;
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.0) engine;
+  let controller = replica.Lab.controller in
   let subject =
     {
       Invariants.controller;
-      switch;
+      switch = lab.Lab.switch;
       oracle;
-      probe_port = 1 + n_peers;
-      probe_mac = nic_mac;
-      probe_src = ip "10.0.0.100";
+      probe_port = Lab.port_controller ~n_peers 0;
+      probe_mac = Lab.mac_controller 0;
+      probe_src = Lab.ip_controller 0;
       rule_priority = 100;
     }
   in
   {
+    lab;
     engine;
-    switch;
     controller;
-    peers;
-    peer_links;
     link_up = Array.make n_peers true;
     channel_faults;
     router_faults;
     of_faults;
-    router_rx;
     oracle;
     subject;
   }
@@ -178,18 +117,18 @@ let bfd_agree rig =
       | Some s ->
         if Bfd.Session.state s = Bfd.Packet.Up <> rig.link_up.(i) then ok := false
       | None -> ok := false)
-    rig.peers;
+    rig.lab.Lab.peers;
   !ok
 
 let snapshot rig =
   ( Prov.flow_mods_sent (C.provisioner rig.controller),
-    Openflow.Switch.flow_mods_applied rig.switch,
+    Openflow.Switch.flow_mods_applied rig.lab.Lab.switch,
     Supercharger.Algorithm.announced_count (C.algorithm rig.controller),
     C.failovers_handled rig.controller,
-    !(rig.router_rx) )
+    List.length !(rig.lab.Lab.router_rx) )
 
 let quiet rig =
-  C.quiescent rig.controller && Openflow.Switch.idle rig.switch && bfd_agree rig
+  C.quiescent rig.controller && Openflow.Switch.idle rig.lab.Lab.switch && bfd_agree rig
 
 (* Advance the simulation in 25 ms slices until the rig is quiet and its
    activity snapshot held still for two consecutive slices. The slice is
@@ -216,7 +155,7 @@ let settle rig =
 let prefix_of i = Net.Prefix.v (Fmt.str "40.%d.%d.0/24" (i / 256) (i mod 256))
 
 let attrs_of rig ~peer ~pref ~prepend =
-  let p = rig.peers.(peer) in
+  let p = rig.lab.Lab.peers.(peer) in
   Bgp.Attributes.make ~local_pref:pref
     ~as_path:
       [ Bgp.Attributes.Seq (List.init (1 + prepend) (fun _ -> Router.Peer.asn p)) ]
@@ -225,7 +164,7 @@ let attrs_of rig ~peer ~pref ~prepend =
 type ground_truth = Bgp.Attributes.t option array array (* peer -> prefix -> attrs *)
 
 let send_route rig ~peer prefix attrs =
-  Router.Peer.announce_to_all rig.peers.(peer)
+  Router.Peer.announce_to_all rig.lab.Lab.peers.(peer)
     { Bgp.Message.withdrawn = []; attrs = Some attrs; nlri = [ prefix ] }
 
 let interpret rig (gt : ground_truth) ev =
@@ -245,19 +184,19 @@ let interpret rig (gt : ground_truth) ev =
   | Withdraw { peer; prefix } ->
     gt.(peer).(prefix) <- None;
     Oracle.withdraw rig.oracle ~peer (prefix_of prefix);
-    Router.Peer.announce_to_all rig.peers.(peer)
+    Router.Peer.announce_to_all rig.lab.Lab.peers.(peer)
       { Bgp.Message.withdrawn = [ prefix_of prefix ]; attrs = None; nlri = [] }
   | Peer_down p ->
     if rig.link_up.(p) then begin
       rig.link_up.(p) <- false;
       Oracle.peer_down rig.oracle p;
-      Net.Link.set_up rig.peer_links.(p) false
+      Net.Link.set_up rig.lab.Lab.peer_links.(p) false
     end
   | Peer_up p ->
     if not rig.link_up.(p) then begin
       rig.link_up.(p) <- true;
       Oracle.peer_up rig.oracle p;
-      Net.Link.set_up rig.peer_links.(p) true
+      Net.Link.set_up rig.lab.Lab.peer_links.(p) true
       (* Deliberately no re-announcement: the BGP session never reset,
          so a real peer stays silent. The controller must restore the
          routes from its own Adj-RIB-In (soft reconfiguration) — the
@@ -265,7 +204,7 @@ let interpret rig (gt : ground_truth) ev =
     end
   | Bfd_flap p ->
     if rig.link_up.(p) then begin
-      match C.bfd_session rig.controller (Router.Peer.ip rig.peers.(p)) with
+      match C.bfd_session rig.controller (Router.Peer.ip rig.lab.Lab.peers.(p)) with
       | Some session -> Bfd.Session.inject_state session Bfd.Packet.Down
       | None -> ()
     end

@@ -23,6 +23,20 @@ type downstream = {
   mutable down_pending : Bgp.Message.update list; (* reversed, until established *)
 }
 
+type 'a tuning =
+  ?group_size:int ->
+  ?reroute_latency:Sim.Time.t ->
+  ?group_linger:Sim.Time.t ->
+  ?ack_timeout:Sim.Time.t ->
+  ?ack_max_retries:int ->
+  ?bfd_debounce:Sim.Time.t ->
+  ?probe_interval:Sim.Time.t ->
+  ?bfd_detect_mult:int ->
+  ?bfd_tx_interval:Sim.Time.t ->
+  ?vnh_pool:Net.Prefix.t ->
+  ?vmac_base:Net.Mac.t ->
+  'a
+
 type mode = Supercharged | Degraded
 
 let pp_mode ppf = function

@@ -45,11 +45,7 @@ type mode = Supercharged | Degraded
 
 val pp_mode : Format.formatter -> mode -> unit
 
-val create :
-  Sim.Engine.t ->
-  name:string ->
-  asn:Bgp.Asn.t ->
-  router_id:Net.Ipv4.t ->
+type 'a tuning =
   ?group_size:int ->
   ?reroute_latency:Sim.Time.t ->
   ?group_linger:Sim.Time.t ->
@@ -61,8 +57,15 @@ val create :
   ?bfd_tx_interval:Sim.Time.t ->
   ?vnh_pool:Net.Prefix.t ->
   ?vmac_base:Net.Mac.t ->
-  unit ->
-  t
+  'a
+(** The optional arguments of {!create}. A rig builder that fixes a
+    controller's name and addresses hands the caller
+    [create engine ~name ~asn ~router_id], of type
+    [(unit -> t) tuning], and the caller applies its own timers. *)
+
+val create :
+  Sim.Engine.t -> name:string -> asn:Bgp.Asn.t -> router_id:Net.Ipv4.t ->
+  (unit -> t) tuning
 (** Defaults: [group_size] 2; [reroute_latency] 25 ms; [group_linger]
     5 s (how long an unreferenced backup-group keeps its rule before
     being garbage-collected and its VNH/VMAC recycled); [ack_timeout]

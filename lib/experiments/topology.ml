@@ -108,33 +108,12 @@ let pp_result ppf r =
   Fmt.pf ppf "; %d flow-mods at failover, %d groups, %d fib writes@]"
     r.flow_mods_at_failover r.backup_groups r.fib_writes
 
-(* --- address plan ------------------------------------------------------ *)
+(* --- address plan: R1's traffic side (the rest is Lab's) -------------- *)
 
-let mac_r1_data = Net.Mac.of_string_exn "00:aa:00:00:00:01"
 let mac_r1_src = Net.Mac.of_string_exn "00:aa:00:00:00:02"
 let mac_source = Net.Mac.of_string_exn "00:dd:00:00:00:01"
-
-let mac_peer i = Net.Mac.of_int64 (Int64.add 0x00BB_0000_0000L (Int64.of_int (2 + i)))
-
-let mac_controller i =
-  Net.Mac.of_int64 (Int64.add 0x00CC_0000_0000L (Int64.of_int (i + 1)))
-
-let ip_r1 = Net.Ipv4.of_octets 10 0 0 1
-let ip_peer i = Net.Ipv4.of_octets 10 0 0 (2 + i)
-let ip_controller i = Net.Ipv4.of_octets 10 0 0 (100 + i)
 let ip_r1_src = Net.Ipv4.of_octets 192 168 0 1
 let ip_source = Net.Ipv4.of_octets 192 168 0 100
-
-let asn_r1 = Bgp.Asn.of_int 65001
-let asn_peer i = Bgp.Asn.of_int (65002 + i)
-let asn_controller = Bgp.Asn.of_int 65001 (* speaks for R1's AS *)
-
-(* The import preference ladder: peer 0 is "provider #1 ($)". *)
-let local_pref_of_peer i = 200 - (10 * i)
-
-let port_r1 = 0
-let port_peer i = 1 + i
-let port_controller ~n_peers i = 1 + n_peers + i
 
 (* --- helpers ------------------------------------------------------------ *)
 
@@ -150,16 +129,6 @@ let run_until engine ~timeout ~step pred =
     end
   in
   loop ()
-
-let l2_rule mac port =
-  Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-    (Openflow.Ofmatch.dl_dst mac)
-    [Openflow.Action.Output port]
-
-let arp_flood_rule =
-  Openflow.Flow_table.flow_mod ~priority:50 Openflow.Flow_table.Add
-    (Openflow.Ofmatch.make ~dl_type:0x0806 ())
-    [Openflow.Action.Flood]
 
 (* Picks the monitored destinations: [n] distinct prefixes at random,
    always including the first and the last advertised prefix (§4), with
@@ -204,32 +173,19 @@ let run params =
   | Fail_two _ | Fail_primary | Fail_backup -> ());
   let engine = Sim.Engine.create ~seed:params.seed () in
   Sim.Trace.set_enabled (Sim.Engine.trace engine) params.trace;
-  let bgp_channel ?name () =
-    if params.bgp_wire then
-      Bgp.Channel.create engine ?name ~use_codec:true ~fragment:512 ()
-    else Bgp.Channel.create engine ?name ()
-  in
   let rng = Sim.Rng.create ~seed:(Int64.add params.seed 1L) in
   let entries = Workloads.Rib_gen.generate ~seed:params.seed ~count:params.n_prefixes in
 
-  (* Devices. *)
+  (* R1 under test: its uplink to the switch, and a second interface
+     towards the traffic source. *)
   let n_peers = params.n_peers in
-  let n_controllers =
-    match params.mode with Plain -> 0 | Supercharged { replicas } -> replicas
-  in
-  let switch =
-    Openflow.Switch.create engine ~name:"e3800"
-      ~flow_mod_latency:params.flow_mod_latency
-      ~n_ports:(1 + n_peers + max 1 n_controllers)
-      ()
-  in
   let r1 =
-    Router.Legacy.create engine ~name:"r1" ~asn:asn_r1 ~router_id:ip_r1
+    Router.Legacy.create engine ~name:"r1" ~asn:Lab.asn_r1 ~router_id:Lab.ip_r1
       ~interfaces:
         [
           {
-            Router.Legacy.if_mac = mac_r1_data;
-            if_ip = ip_r1;
+            Router.Legacy.if_mac = Lab.mac_r1;
+            if_ip = Lab.ip_r1;
             if_connected = Net.Prefix.make (Net.Ipv4.of_octets 10 0 0 0) 8;
           };
           {
@@ -241,29 +197,25 @@ let run params =
       ~fib_batch_start_latency:params.fib_batch_start
       ~fib_per_entry_latency:params.fib_per_entry ()
   in
-  let peers =
-    Array.init n_peers (fun i ->
-        Router.Peer.create engine
-          ~name:(Fmt.str "r%d" (2 + i))
-          ~asn:(asn_peer i) ~mac:(mac_peer i) ~ip:(ip_peer i)
+  let lab =
+    Lab.create engine ~flow_mod_latency:params.flow_mod_latency
+      ~bgp_wire:params.bgp_wire ~bfd_detect_mult:params.bfd_detect_mult
+      ~bfd_tx_interval:params.bfd_tx_interval
+      ~controller:(fun create ->
+        create ~group_size:params.group_size ~reroute_latency:params.reroute_latency
           ~bfd_detect_mult:params.bfd_detect_mult
           ~bfd_tx_interval:params.bfd_tx_interval ())
+      ~r1 ~n_peers
+      ~replicas:(match params.mode with Plain -> 0 | Supercharged { replicas } -> replicas)
+      ()
   in
-
-  (* Physical wiring: R1 and the peers on switch ports, the traffic
-     source on R1's second interface. *)
-  let link_r1 = Net.Link.create engine ~name:"r1-sw" () in
-  Router.Legacy.connect_interface r1 0 link_r1 Net.Link.A;
-  Openflow.Switch.attach_link switch ~port:port_r1 link_r1 Net.Link.B;
-  let peer_links =
-    Array.mapi
-      (fun i peer ->
-        let link = Net.Link.create engine ~name:(Fmt.str "r%d-sw" (2 + i)) () in
-        Router.Peer.connect peer link Net.Link.A;
-        Openflow.Switch.attach_link switch ~port:(port_peer i) link Net.Link.B;
-        link)
-      peers
-  in
+  let switch = lab.Lab.switch and peers = lab.Lab.peers in
+  (* ARP floods, so that plain-mode R1 can resolve its providers; a
+     controller's punt rule overrides this at higher priority. *)
+  Openflow.Flow_table.apply (Openflow.Switch.table switch)
+    (Openflow.Flow_table.flow_mod ~priority:50 Openflow.Flow_table.Add
+       (Openflow.Ofmatch.make ~dl_type:0x0806 ())
+       [Openflow.Action.Flood]);
   let link_src = Net.Link.create engine ~name:"src-r1" () in
   Router.Legacy.connect_interface r1 1 link_src Net.Link.B;
 
@@ -273,100 +225,40 @@ let run params =
     Option.map
       (fun path ->
         let w = Net.Pcap.create_file path in
-        Net.Pcap.tap_link w link_r1;
+        Option.iter (Net.Pcap.tap_link w) lab.Lab.r1_link;
         w)
       params.pcap
   in
 
-  (* Factory switch configuration: plain L2 unicast rules plus ARP
-     flooding (the supercharger's punt rule overrides the latter at
-     higher priority once a controller starts). *)
-  let table = Openflow.Switch.table switch in
-  List.iter
-    (Openflow.Flow_table.apply table)
-    ([l2_rule mac_r1_data port_r1; arp_flood_rule]
-    @ List.init n_peers (fun i -> l2_rule (mac_peer i) (port_peer i))
-    @ List.init n_controllers (fun i ->
-          l2_rule (mac_controller i) (port_controller ~n_peers i)));
-
-  (* Control plane wiring per mode. *)
-  let controllers = ref [] in
-  (match params.mode with
-  | Plain ->
+  (* Plain mode: R1 peers with the providers and runs BFD to them
+     itself. *)
+  if params.mode = Plain then
     Array.iteri
       (fun i peer ->
-        let ch = bgp_channel ~name:(Fmt.str "r1-r%d" (2 + i)) () in
+        let ch =
+          Lab.bgp_channel ~bgp_wire:params.bgp_wire engine (Fmt.str "r1-r%d" (2 + i))
+        in
         let r1_peer =
           Router.Legacy.add_bgp_peer r1
             ~name:(Router.Peer.name peer)
             ~channel:ch ~side:Bgp.Channel.A
-            ~import_local_pref:(local_pref_of_peer i) ()
+            ~import_local_pref:(Lab.local_pref_of_peer i) ()
         in
         ignore (Router.Peer.add_bgp_peer peer ~name:"r1" ~channel:ch ~side:Bgp.Channel.B ());
         ignore
-          (Router.Legacy.enable_bfd r1 ~peer:r1_peer ~remote_ip:(ip_peer i)
+          (Router.Legacy.enable_bfd r1 ~peer:r1_peer ~remote_ip:(Lab.ip_peer i)
              ~interface:0 ~detect_mult:params.bfd_detect_mult
              ~tx_interval:params.bfd_tx_interval ()))
       peers;
-    Bgp.Speaker.start (Router.Legacy.speaker r1);
-    Array.iter (fun p -> Bgp.Speaker.start (Router.Peer.speaker p)) peers
-  | Supercharged { replicas } ->
-    for c_idx = 0 to replicas - 1 do
-      let c =
-        Supercharger.Controller.create engine
-          ~name:(Fmt.str "controller%d" (c_idx + 1))
-          ~asn:asn_controller
-          ~router_id:(ip_controller c_idx)
-          ~group_size:params.group_size ~reroute_latency:params.reroute_latency
-          ~bfd_detect_mult:params.bfd_detect_mult
-          ~bfd_tx_interval:params.bfd_tx_interval ()
-      in
-      Supercharger.Controller.connect_switch c switch;
-      let endhost =
-        Router.Endhost.create engine
-          ~name:(Fmt.str "c%d-nic" (c_idx + 1))
-          ~mac:(mac_controller c_idx) ~ip:(ip_controller c_idx) ()
-      in
-      let link_c = Net.Link.create engine ~name:(Fmt.str "c%d-sw" (c_idx + 1)) () in
-      Router.Endhost.connect endhost link_c Net.Link.A;
-      Openflow.Switch.attach_link switch ~port:(port_controller ~n_peers c_idx) link_c
-        Net.Link.B;
-      Supercharger.Controller.attach_dataplane c endhost;
-      Array.iteri
-        (fun i peer ->
-          let ch = bgp_channel ~name:(Fmt.str "c%d-r%d" (c_idx + 1) (2 + i)) () in
-          ignore
-            (Supercharger.Controller.add_upstream_peer c
-               ~name:(Router.Peer.name peer)
-               ~ip:(ip_peer i) ~mac:(mac_peer i) ~switch_port:(port_peer i)
-               ~channel:ch ~side:Bgp.Channel.A
-               ~import_local_pref:(local_pref_of_peer i) ());
-          ignore
-            (Router.Peer.add_bgp_peer peer
-               ~name:(Fmt.str "c%d" (c_idx + 1))
-               ~channel:ch ~side:Bgp.Channel.B ()))
-        peers;
-      let ch_r1 = bgp_channel ~name:(Fmt.str "c%d-r1" (c_idx + 1)) () in
-      ignore
-        (Supercharger.Controller.add_router c ~name:"r1" ~channel:ch_r1
-           ~side:Bgp.Channel.A ());
-      ignore
-        (Router.Legacy.add_bgp_peer r1
-           ~name:(Fmt.str "c%d" (c_idx + 1))
-           ~channel:ch_r1 ~side:Bgp.Channel.B ());
-      controllers := c :: !controllers
-    done;
-    controllers := List.rev !controllers;
-    List.iter Supercharger.Controller.start !controllers;
-    Bgp.Speaker.start (Router.Legacy.speaker r1);
-    Array.iter (fun p -> Bgp.Speaker.start (Router.Peer.speaker p)) peers);
+  Lab.start lab;
+  let controllers =
+    Array.to_list (Array.map (fun r -> r.Lab.controller) lab.Lab.replicas)
+  in
 
   (* Let sessions establish. *)
   let sessions_up () =
-    let expected_r1 =
-      match params.mode with Plain -> n_peers | Supercharged { replicas } -> replicas
-    in
-    Bgp.Speaker.established_count (Router.Legacy.speaker r1) = expected_r1
+    Bgp.Speaker.established_count (Router.Legacy.speaker r1)
+    = if controllers = [] then n_peers else List.length controllers
   in
   if
     not
@@ -382,8 +274,8 @@ let run params =
     if i >= n_peers then feeds_done := true
     else
       let updates =
-        Workloads.Rib_gen.to_updates entries ~speaker_asn:(asn_peer i)
-          ~next_hop:(ip_peer i)
+        Workloads.Rib_gen.to_updates entries ~speaker_asn:(Lab.asn_peer i)
+          ~next_hop:(Lab.ip_peer i)
       in
       Workloads.Feed.replay engine ~updates ~batch:params.feed_batch
         ~interval:params.feed_interval
@@ -491,7 +383,7 @@ let run params =
       | Dense -> ());
       ignore
         (Sim.Engine.schedule_at engine at (fun () ->
-             Net.Link.set_up peer_links.(peer_idx) false)))
+             Net.Link.set_up lab.Lab.peer_links.(peer_idx) false)))
     failure_instants;
   let last_failure =
     List.fold_left (fun acc (_, at) -> Sim.Time.max acc at) t_fail failure_instants
@@ -526,7 +418,7 @@ let run params =
       flows
   in
   let flow_mods_at_failover, backup_groups =
-    match !controllers with
+    match controllers with
     | [] -> (0, 0)
     | c :: _ ->
       ( Supercharger.Provisioner.flow_mods_sent (Supercharger.Controller.provisioner c),
@@ -545,7 +437,7 @@ let run params =
                  Fmt.(option Net.Ipv4.pp)
                  (Supercharger.Provisioner.selected prov b))
              (Supercharger.Backup_group.all groups)))
-      !controllers
+      controllers
   in
   Option.iter Net.Pcap.close pcap_writer;
   {
@@ -558,7 +450,7 @@ let run params =
     updates_processed =
       List.fold_left
         (fun acc c -> acc + Supercharger.Controller.updates_processed c)
-        0 !controllers;
+        0 controllers;
     fib_writes = Router.Fib.applied_count fib;
     events = Sim.Engine.events_processed engine;
     probes = Trafficgen.Monitor.probes_sent monitor;

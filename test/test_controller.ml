@@ -5,10 +5,9 @@
 let ip = Net.Ipv4.of_string_exn
 let mac = Net.Mac.of_string_exn
 
-(* A minimal supercharged rig: switch + controller + NIC + [n] provider
-   peers with BGP channels, and a hand-driven "router" side: we attach a
-   raw channel endpoint so tests can inspect exactly what the controller
-   announces. *)
+(* The Fig. 4 lab with one controller replica and [n] providers; R1 is
+   the lab's recording stub, so tests can inspect exactly what the
+   controller announces. *)
 type rig = {
   engine : Sim.Engine.t;
   switch : Openflow.Switch.t;
@@ -71,77 +70,17 @@ let settle ?(timeout = 30.0) rig =
   loop 0 None
 
 let make_rig ?(n_peers = 2) () =
-  let engine = Sim.Engine.create ~seed:9L () in
-  let switch = Openflow.Switch.create engine ~n_ports:(2 + n_peers) () in
-  let controller =
-    Supercharger.Controller.create engine ~name:"c1" ~asn:(Bgp.Asn.of_int 65001)
-      ~router_id:(ip "10.0.0.100") ()
-  in
   (* The whole control channel runs through the OF 1.0 binary codec. *)
-  Supercharger.Controller.connect_switch ~use_codec:true controller switch;
-  let nic =
-    Router.Endhost.create engine ~name:"c1-nic" ~mac:(mac "00:cc:00:00:00:01")
-      ~ip:(ip "10.0.0.100") ()
+  let lab =
+    Experiments.Lab.create (Sim.Engine.create ~seed:9L ()) ~of_codec:true ~n_peers
+      ~replicas:1 ()
   in
-  let link_c = Net.Link.create engine () in
-  Router.Endhost.connect nic link_c Net.Link.A;
-  Openflow.Switch.attach_link switch ~port:(1 + n_peers) link_c Net.Link.B;
-  Openflow.Flow_table.apply (Openflow.Switch.table switch)
-    (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-       (Openflow.Ofmatch.dl_dst (mac "00:cc:00:00:00:01"))
-       [Openflow.Action.Output (1 + n_peers)]);
-  Supercharger.Controller.attach_dataplane controller nic;
-  let peers =
-    Array.init n_peers (fun i ->
-        Router.Peer.create engine
-          ~name:(Fmt.str "r%d" (2 + i))
-          ~asn:(Bgp.Asn.of_int (65002 + i))
-          ~mac:(Net.Mac.of_int64 (Int64.of_int (0xBB_0000_0000 + 2 + i)))
-          ~ip:(ip (Fmt.str "10.0.0.%d" (2 + i)))
-          ())
+  Experiments.Lab.start lab;
+  let rig =
+    { engine = lab.engine; switch = lab.switch;
+      controller = lab.replicas.(0).controller; peers = lab.peers;
+      peer_links = lab.peer_links; router_rx = lab.router_rx }
   in
-  let peer_links =
-    Array.mapi
-      (fun i peer ->
-        let link = Net.Link.create engine () in
-        Router.Peer.connect peer link Net.Link.A;
-        Openflow.Switch.attach_link switch ~port:(1 + i) link Net.Link.B;
-        Openflow.Flow_table.apply (Openflow.Switch.table switch)
-          (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-             (Openflow.Ofmatch.dl_dst (Router.Peer.mac peer))
-             [Openflow.Action.Output (1 + i)]);
-        let ch = Bgp.Channel.create engine () in
-        ignore
-          (Supercharger.Controller.add_upstream_peer controller
-             ~name:(Router.Peer.name peer)
-             ~ip:(Router.Peer.ip peer) ~mac:(Router.Peer.mac peer) ~switch_port:(1 + i)
-             ~channel:ch ~side:Bgp.Channel.A
-             ~import_local_pref:(200 - (10 * i))
-             ());
-        ignore
-          (Router.Peer.add_bgp_peer peer ~name:"c1" ~channel:ch ~side:Bgp.Channel.B ());
-        link)
-      peers
-  in
-  (* Hand-driven router side. *)
-  let router_rx = ref [] in
-  let ch_r1 = Bgp.Channel.create engine () in
-  ignore
-    (Supercharger.Controller.add_router controller ~name:"r1" ~channel:ch_r1
-       ~side:Bgp.Channel.A ());
-  Bgp.Channel.attach ch_r1 Bgp.Channel.B (fun msg ->
-      match msg with
-      | Bgp.Message.Open _ ->
-        Bgp.Channel.send ch_r1 Bgp.Channel.B
-          (Bgp.Message.Open
-             { version = 4; asn = Bgp.Asn.of_int 65001; hold_time = 90;
-               router_id = ip "10.0.0.1" });
-        Bgp.Channel.send ch_r1 Bgp.Channel.B Bgp.Message.Keepalive
-      | Bgp.Message.Update u -> router_rx := u :: !router_rx
-      | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ());
-  Supercharger.Controller.start controller;
-  Array.iter (fun p -> Bgp.Speaker.start (Router.Peer.speaker p)) peers;
-  let rig = { engine; switch; controller; peers; peer_links; router_rx } in
   settle rig;
   rig
 

@@ -5,8 +5,6 @@
    variable when set), which is printed below so a failing run can be
    replayed bit-for-bit. *)
 
-let ip = Net.Ipv4.of_string_exn
-
 let scenario_seed =
   match Sys.getenv_opt "FAULT_SEED" with
   | Some s -> Int64.of_string s
@@ -145,11 +143,11 @@ let injector_tests =
 
 (* --- the scenario rig --------------------------------------------------- *)
 
-(* A supercharged rig like test_controller's, but with a fault injector
-   on every message path: one per upstream BGP channel, one on the
-   controller->router channel and one on the OpenFlow control path. All
-   injectors start on the [none] profile; scenarios open windows with
-   [Sim.Faults.during]. *)
+(* The Fig. 4 lab with one controller replica and a recording R1, plus
+   a fault injector on every message path: one per upstream BGP channel,
+   one on the controller->router channel and one on the OpenFlow control
+   path. All injectors start on the [none] profile; scenarios open
+   windows with [Sim.Faults.during]. *)
 type rig = {
   engine : Sim.Engine.t;
   switch : Openflow.Switch.t;
@@ -166,89 +164,33 @@ let make_rig ?(seed = 9L) ?(n_peers = 2) ?(bfd_debounce = Sim.Time.of_ms 100)
     ?(ack_timeout = Sim.Time.of_ms 100) ?(ack_max_retries = 3)
     ?(probe_interval = Sim.Time.of_ms 250) () =
   let engine = Sim.Engine.create ~seed () in
-  let injector name salt profile =
+  let injector name salt =
     Sim.Faults.create engine ~name ~seed:(Int64.add seed (Int64.of_int salt))
-      profile
+      Sim.Faults.none
   in
-  let switch = Openflow.Switch.create engine ~n_ports:(2 + n_peers) () in
-  let controller =
-    Supercharger.Controller.create engine ~name:"c1" ~asn:(Bgp.Asn.of_int 65001)
-      ~router_id:(ip "10.0.0.100") ~bfd_debounce ~ack_timeout ~ack_max_retries
-      ~probe_interval ()
+  let of_faults = injector "of" 7777 in
+  let lab =
+    Experiments.Lab.create engine ~of_codec:true ~of_faults
+      ~controller:(fun create ->
+        create ~bfd_debounce ~ack_timeout ~ack_max_retries ~probe_interval ())
+      ~n_peers ~replicas:1 ()
   in
-  let of_faults = injector "of" 7777 Sim.Faults.none in
-  Supercharger.Controller.connect_switch ~use_codec:true ~faults:of_faults
-    controller switch;
-  let nic =
-    Router.Endhost.create engine ~name:"c1-nic"
-      ~mac:(Net.Mac.of_string_exn "00:cc:00:00:00:01") ~ip:(ip "10.0.0.100") ()
-  in
-  let link_c = Net.Link.create engine () in
-  Router.Endhost.connect nic link_c Net.Link.A;
-  Openflow.Switch.attach_link switch ~port:(1 + n_peers) link_c Net.Link.B;
-  Openflow.Flow_table.apply (Openflow.Switch.table switch)
-    (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-       (Openflow.Ofmatch.dl_dst (Net.Mac.of_string_exn "00:cc:00:00:00:01"))
-       [Openflow.Action.Output (1 + n_peers)]);
-  Supercharger.Controller.attach_dataplane controller nic;
-  let peers =
-    Array.init n_peers (fun i ->
-        Router.Peer.create engine
-          ~name:(Fmt.str "r%d" (2 + i))
-          ~asn:(Bgp.Asn.of_int (65002 + i))
-          ~mac:(Net.Mac.of_int64 (Int64.of_int (0xBB_0000_0000 + 2 + i)))
-          ~ip:(ip (Fmt.str "10.0.0.%d" (2 + i)))
-          ())
-  in
-  let channel_faults = Array.make n_peers (injector "ch-unused" 0 Sim.Faults.none) in
-  let peer_links =
+  let { Experiments.Lab.controller; upstream; downstream } = lab.replicas.(0) in
+  let channel_faults =
     Array.mapi
-      (fun i peer ->
-        let link = Net.Link.create engine () in
-        Router.Peer.connect peer link Net.Link.A;
-        Openflow.Switch.attach_link switch ~port:(1 + i) link Net.Link.B;
-        Openflow.Flow_table.apply (Openflow.Switch.table switch)
-          (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-             (Openflow.Ofmatch.dl_dst (Router.Peer.mac peer))
-             [Openflow.Action.Output (1 + i)]);
-        let ch = Bgp.Channel.create engine () in
-        let inj = injector (Fmt.str "ch%d" i) (1000 * (i + 1)) Sim.Faults.none in
+      (fun i ch ->
+        let inj = injector (Fmt.str "ch%d" i) (1000 * (i + 1)) in
         Bgp.Channel.set_faults ch inj;
-        channel_faults.(i) <- inj;
-        ignore
-          (Supercharger.Controller.add_upstream_peer controller
-             ~name:(Router.Peer.name peer)
-             ~ip:(Router.Peer.ip peer) ~mac:(Router.Peer.mac peer)
-             ~switch_port:(1 + i) ~channel:ch ~side:Bgp.Channel.A
-             ~import_local_pref:(200 - (10 * i))
-             ());
-        ignore
-          (Router.Peer.add_bgp_peer peer ~name:"c1" ~channel:ch ~side:Bgp.Channel.B ());
-        link)
-      peers
+        inj)
+      upstream
   in
-  let router_rx = ref [] in
-  let ch_r1 = Bgp.Channel.create engine () in
-  let router_faults = injector "router-ch" 8888 Sim.Faults.none in
-  Bgp.Channel.set_faults ch_r1 router_faults;
-  ignore
-    (Supercharger.Controller.add_router controller ~name:"r1" ~channel:ch_r1
-       ~side:Bgp.Channel.A ());
-  Bgp.Channel.attach ch_r1 Bgp.Channel.B (fun msg ->
-      match msg with
-      | Bgp.Message.Open _ ->
-        Bgp.Channel.send ch_r1 Bgp.Channel.B
-          (Bgp.Message.Open
-             { version = 4; asn = Bgp.Asn.of_int 65001; hold_time = 90;
-               router_id = ip "10.0.0.1" });
-        Bgp.Channel.send ch_r1 Bgp.Channel.B Bgp.Message.Keepalive
-      | Bgp.Message.Update u -> router_rx := u :: !router_rx
-      | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ());
-  Supercharger.Controller.start controller;
-  Array.iter (fun p -> Bgp.Speaker.start (Router.Peer.speaker p)) peers;
+  let router_faults = injector "router-ch" 8888 in
+  Bgp.Channel.set_faults downstream router_faults;
+  Experiments.Lab.start lab;
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.0) engine;
-  { engine; switch; controller; peers; peer_links; channel_faults;
-    router_faults; of_faults; router_rx }
+  { engine; switch = lab.switch; controller; peers = lab.peers;
+    peer_links = lab.peer_links; channel_faults; router_faults; of_faults;
+    router_rx = lab.router_rx }
 
 let announce rig peer_idx prefixes =
   let peer = rig.peers.(peer_idx) in
