@@ -22,16 +22,7 @@ let () =
      with its own switch attachment, BFD NIC and BGP sessions. *)
   let r1 =
     Router.Legacy.create engine ~name:"r1" ~asn:Experiments.Lab.asn_r1
-      ~router_id:Experiments.Lab.ip_r1
-      ~interfaces:
-        [
-          {
-            Router.Legacy.if_mac = Experiments.Lab.mac_r1;
-            if_ip = Experiments.Lab.ip_r1;
-            if_connected = Net.Prefix.v "10.0.0.0/8";
-          };
-        ]
-      ()
+      ~router_id:Experiments.Lab.ip_r1 ~interfaces:[Experiments.Lab.r1_uplink] ()
   in
   let lab = Experiments.Lab.create engine ~r1 ~n_peers:2 ~replicas:2 () in
   let c1 = lab.replicas.(0).controller and c2 = lab.replicas.(1).controller in

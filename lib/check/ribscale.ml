@@ -214,9 +214,9 @@ let equivalent st =
         if !divergent <= 3 then
           add "ranking diverges at %a: rib peers [%a], oracle peers [%a]"
             Net.Prefix.pp prefix
-            Fmt.(list ~sep:semi int)
+            Fmt.(list ~sep:(any "; ") int)
             (List.map (fun (r : Bgp.Route.t) -> r.peer_id) fast)
-            Fmt.(list ~sep:semi int)
+            Fmt.(list ~sep:(any "; ") int)
             (List.map (fun (r : Bgp.Route.t) -> r.peer_id) naive)
       end);
   if !divergent > 3 then add "... and %d more divergent prefixes" (!divergent - 3);
@@ -265,42 +265,13 @@ let[@lint.domain_entry
     in
     run 1 t.steps
 
-(* --- shrinking --------------------------------------------------------- *)
-
-let without steps i size = List.filteri (fun j _ -> j < i || j >= i + size) steps
-
-(* Greedy ddmin over the event list, same discipline as
-   Schedule.shrink: halving chunk sizes, then single-step sweeps until
-   a full pass removes nothing. *)
-let shrink ~fails t =
-  if not (fails t) then t
-  else begin
-    let current = ref t in
-    let size = ref (max 1 (length t / 2)) in
-    let continue_ = ref true in
-    while !continue_ do
-      let removed_any = ref false in
-      let i = ref 0 in
-      while !i < length !current do
-        let cand = { !current with steps = without (!current).steps !i !size } in
-        if length cand < length !current && fails cand then begin
-          current := cand;
-          removed_any := true
-        end
-        else i := !i + !size
-      done;
-      if !size > 1 then size := !size / 2
-      else if not !removed_any then continue_ := false
-    done;
-    !current
-  end
-
 (* --- matrix driver ----------------------------------------------------- *)
 
 type failure = {
   schedule : t;
   shrunk : t;
   violations : string list;
+  reproduce : string;
 }
 
 let pp_failure ppf f =
@@ -308,14 +279,15 @@ let pp_failure ppf f =
     f.schedule.seed (length f.schedule);
   List.iter (fun v -> Fmt.pf ppf "  violation: %s@." v) f.violations;
   Fmt.pf ppf "shrunk to %d events:@.%a" (length f.shrunk) pp f.shrunk;
-  Fmt.pf ppf "reproduce: seed=%Ld n_peers=%d@." f.shrunk.seed f.shrunk.n_peers
+  Fmt.pf ppf "reproduce: %s@." f.reproduce
 
 let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = false)
     ?progress ~seed ~schedules () =
   if schedules < 1 then invalid_arg "Ribscale.run_matrix: schedules";
   (* One table for the whole matrix: generation at internet shape is
      pure in the seed, so sharing it changes nothing but wall-clock. *)
-  let entries = Workloads.Rib_gen.generate_internet ~seed ~count:entries in
+  let n_entries = entries in
+  let entries = Workloads.Rib_gen.generate_internet ~seed ~count:n_entries in
   let rec go i =
     if i >= schedules then None
     else begin
@@ -326,12 +298,22 @@ let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = fal
       match execute ~mutate ~entries schedule with
       | [] -> go (i + 1)
       | _ :: _ ->
-        let fails t =
-          match execute ~mutate ~entries t with [] -> false | _ :: _ -> true
+        let fails steps =
+          match execute ~mutate ~entries { schedule with steps } with
+          | [] -> false
+          | _ :: _ -> true
         in
-        let shrunk = shrink ~fails schedule in
+        let shrunk = { schedule with steps = Shrink.list ~fails schedule.steps } in
         let violations = execute ~mutate ~entries shrunk in
-        Some { schedule; shrunk; violations }
+        (* The table comes from the matrix seed, so the command replays
+           the matrix up to this schedule rather than this one alone. *)
+        let reproduce =
+          Fmt.str "sc_lab ribscale-check --seed %Ld --schedules %d --peers %d \
+                   --entries %d --events %d%s"
+            seed (i + 1) n_peers n_entries length
+            (if mutate then " --mutate" else "")
+        in
+        Some { schedule; shrunk; violations; reproduce }
     end
   in
   go 0

@@ -63,15 +63,11 @@ val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> stri
     only (every 7th withdrawal never reaches the RIB) — the harness's
     own canary, as {!Run.execute}'s [mutate] is for the pipeline. *)
 
-val shrink : fails:(t -> bool) -> t -> t
-(** Greedy ddmin chunk removal over the steps, same discipline as
-    {!Schedule.shrink}; returns a schedule that still satisfies
-    [fails], or [t] itself if it does not fail. *)
-
 type failure = {
   schedule : t;  (** the schedule that first failed *)
   shrunk : t;  (** its ddmin-minimal counterexample *)
   violations : string list;  (** violations of the shrunken schedule *)
+  reproduce : string;  (** the [sc_lab ribscale-check] command that replays it *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit

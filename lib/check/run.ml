@@ -6,6 +6,7 @@ type failure = {
   schedule : Schedule.t;
   shrunk : Schedule.t;
   violations : string list;
+  reproduce : string;
 }
 
 let pp_failure ppf f =
@@ -14,10 +15,7 @@ let pp_failure ppf f =
   Fmt.pf ppf "original %a" Schedule.pp f.schedule;
   Fmt.pf ppf "shrunken counterexample (%d events) %a" (Schedule.length f.shrunk)
     Schedule.pp f.shrunk;
-  Fmt.pf ppf
-    "reproduce: sc_lab check --seed %Ld --peers %d --prefixes %d --events %d@."
-    f.shrunk.Schedule.seed f.shrunk.Schedule.n_peers f.shrunk.Schedule.n_prefixes
-    (Schedule.length f.schedule)
+  Fmt.pf ppf "reproduce: %s@." f.reproduce
 
 (* Upstream BGP channels take duplicates only: BGP has no
    retransmission, so losing or reordering an announcement would change
@@ -125,7 +123,7 @@ let snapshot rig =
     Openflow.Switch.flow_mods_applied rig.lab.Lab.switch,
     Supercharger.Algorithm.announced_count (C.algorithm rig.controller),
     C.failovers_handled rig.controller,
-    List.length !(rig.lab.Lab.router_rx) )
+    Stack.length rig.lab.Lab.router_rx )
 
 let quiet rig =
   C.quiescent rig.controller && Openflow.Switch.idle rig.lab.Lab.switch && bfd_agree rig
@@ -274,15 +272,24 @@ let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
       match execute ~mutate sched with
       | [] -> go (i + 1)
       | first_violations ->
-        let shrunk =
-          Schedule.shrink ~fails:(fun s -> execute ~mutate s <> []) sched
+        let steps =
+          Shrink.list sched.steps ~fails:(fun steps ->
+              execute ~mutate { sched with steps } <> [])
         in
+        let shrunk = { sched with steps } in
         let violations =
           match execute ~mutate shrunk with
           | [] -> first_violations (* unreachable: shrink preserves failure *)
           | vs -> vs
         in
-        Some { schedule = sched; shrunk; violations }
+        let reproduce =
+          Fmt.str "sc_lab check --seed %Ld --schedules 1 --peers %d --prefixes %d \
+                   --events %d%s%s"
+            sched.seed n_peers n_prefixes events
+            (if chaos then "" else " --no-chaos")
+            (if mutate then " --mutate" else "")
+        in
+        Some { schedule = sched; shrunk; violations; reproduce }
     end
   in
   go 0

@@ -22,11 +22,12 @@ type failure = {
   schedule : Schedule.t;  (** the schedule that first failed *)
   shrunk : Schedule.t;  (** its ddmin-minimal counterexample *)
   violations : string list;  (** violations of the shrunken schedule *)
+  reproduce : string;  (** the [sc_lab check] command that replays it *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit
-(** Prints the violations, the shrunken schedule and the reproduction
-    recipe (seed + dimensions). *)
+(** Prints the violations, the shrunken schedule and the [reproduce]
+    command. *)
 
 val execute : ?mutate:bool -> Schedule.t -> string list
 (** Runs one schedule; returns the invariant violations, [[]] on a clean

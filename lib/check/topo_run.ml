@@ -230,45 +230,18 @@ let[@lint.domain_entry
     else check fabric t
   end
 
-(* --- shrinking ------------------------------------------------------------ *)
-
-(* Greedy drop-one to a fixpoint: any sublist of a schedule is a valid
-   schedule (every fault call is idempotent and total). *)
-let shrink ~fails t =
-  if not (fails t) then t
-  else begin
-    let current = ref t in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let steps = Array.of_list !current.steps in
-      let n = Array.length steps in
-      let i = ref 0 in
-      while !i < n && not !progress do
-        let candidate_steps =
-          List.filteri (fun j _ -> j <> !i) (Array.to_list steps)
-        in
-        let candidate = { !current with steps = candidate_steps } in
-        if fails candidate then begin
-          current := candidate;
-          progress := true
-        end;
-        incr i
-      done
-    done;
-    !current
-  end
-
 type failure = {
   schedule : t;
   shrunk : t;
   violations : string list;
+  reproduce : string;
 }
 
 let pp_failure ppf f =
   Fmt.pf ppf "failing schedule:@.%a@.shrunk to:@.%a@.violations:@." pp f.schedule pp
     f.shrunk;
-  List.iter (fun v -> Fmt.pf ppf "  - %s@." v) f.violations
+  List.iter (fun v -> Fmt.pf ppf "  - %s@." v) f.violations;
+  Fmt.pf ppf "reproduce: %s@." f.reproduce
 
 let run_matrix ?routers ?n_prefixes ?events ?progress ~seeds () =
   let rec loop i = function
@@ -279,7 +252,15 @@ let run_matrix ?routers ?n_prefixes ?events ?progress ~seeds () =
       let violations = execute schedule in
       if violations = [] then loop (i + 1) rest
       else
-        let shrunk = shrink ~fails:(fun s -> execute s <> []) schedule in
-        Some { schedule; shrunk; violations = execute shrunk }
+        let steps =
+          Shrink.list schedule.steps ~fails:(fun steps ->
+              execute { schedule with steps } <> [])
+        in
+        let shrunk = { schedule with steps } in
+        let reproduce =
+          Fmt.str "sc_lab topo-check --seeds %Ld --routers %d --prefixes %d --events %d"
+            seed schedule.routers schedule.n_prefixes (length schedule)
+        in
+        Some { schedule; shrunk; violations = execute shrunk; reproduce }
   in
   loop 0 seeds

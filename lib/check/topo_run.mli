@@ -63,14 +63,10 @@ type failure = {
   schedule : t;
   shrunk : t;
   violations : string list;
+  reproduce : string;  (** the [sc_lab topo-check] command that replays it *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit
-
-val shrink : fails:(t -> bool) -> t -> t
-(** Greedy drop-one minimisation to a fixpoint (any sublist of a
-    schedule is a valid schedule). Returns [t] unchanged if [fails t]
-    is false. *)
 
 val run_matrix :
   ?routers:int ->

@@ -183,11 +183,7 @@ let run params =
     Router.Legacy.create engine ~name:"r1" ~asn:Lab.asn_r1 ~router_id:Lab.ip_r1
       ~interfaces:
         [
-          {
-            Router.Legacy.if_mac = Lab.mac_r1;
-            if_ip = Lab.ip_r1;
-            if_connected = Net.Prefix.make (Net.Ipv4.of_octets 10 0 0 0) 8;
-          };
+          Lab.r1_uplink;
           {
             Router.Legacy.if_mac = mac_r1_src;
             if_ip = ip_r1_src;

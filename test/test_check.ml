@@ -117,46 +117,48 @@ let schedule_tests =
           s.Check.Schedule.steps);
     Alcotest.test_case "shrinking keeps only what the failure needs" `Quick
       (fun () ->
-        (* Synthetic failure: the predicate needs the peer-0 cut AND the
-           peer-1 announcement; the other eight events are noise the
-           shrinker must strip. *)
-        let key_down = Check.Schedule.Peer_down 0 in
-        let key_ann =
-          Check.Schedule.Announce { peer = 1; prefix = 0; pref = 100; prepend = 0 }
+        (* Synthetic failures, one per checker's event type: the
+           predicate needs both key events; the eight others are noise
+           the shrinker must strip. *)
+        let strips name (key_a, key_b) noise =
+          let events =
+            List.concat
+              [ List.filteri (fun i _ -> i < 4) noise; [ key_a ];
+                List.filteri (fun i _ -> i >= 4) noise; [ key_b ] ]
+          in
+          let fails evs = List.mem key_a evs && List.mem key_b evs in
+          let shrunk = Check.Shrink.list ~fails events in
+          Alcotest.(check int) (name ^ ": two events survive") 2 (List.length shrunk);
+          Alcotest.(check bool) (name ^ ": and they still fail") true (fails shrunk)
         in
-        let noise =
-          [ Check.Schedule.Peer_up 1;
-            Check.Schedule.Withdraw { peer = 0; prefix = 1 };
-            Check.Schedule.Bfd_flap 1;
-            Check.Schedule.Announce { peer = 0; prefix = 2; pref = 50; prepend = 1 };
-            Check.Schedule.Of_blackout { span_ms = 10 };
-            Check.Schedule.Peer_up 0;
-            Check.Schedule.Withdraw { peer = 1; prefix = 3 };
-            Check.Schedule.Channel_dup { peer = 0; span_ms = 10 } ]
-        in
-        let sched =
-          { Check.Schedule.seed = 7L; n_peers = 2; n_prefixes = 4;
-            steps =
-              List.map step
-                (List.concat
-                   [ List.filteri (fun i _ -> i < 4) noise; [key_down];
-                     List.filteri (fun i _ -> i >= 4) noise; [key_ann] ]) }
-        in
-        let fails (s : Check.Schedule.t) =
-          let has e = List.exists (fun st -> st.Check.Schedule.ev = e) s.steps in
-          has key_down && has key_ann
-        in
-        let shrunk = Check.Schedule.shrink ~fails sched in
-        Alcotest.(check int) "two events survive" 2 (Check.Schedule.length shrunk);
-        Alcotest.(check bool) "and they still fail" true (fails shrunk));
+        strips "check"
+          ( step (Check.Schedule.Peer_down 0),
+            step
+              (Check.Schedule.Announce { peer = 1; prefix = 0; pref = 100; prepend = 0 }) )
+          (List.map step
+             [ Check.Schedule.Peer_up 1;
+               Check.Schedule.Withdraw { peer = 0; prefix = 1 };
+               Check.Schedule.Bfd_flap 1;
+               Check.Schedule.Announce { peer = 0; prefix = 2; pref = 50; prepend = 1 };
+               Check.Schedule.Of_blackout { span_ms = 10 };
+               Check.Schedule.Peer_up 0;
+               Check.Schedule.Withdraw { peer = 1; prefix = 3 };
+               Check.Schedule.Channel_dup { peer = 0; span_ms = 10 } ]);
+        let topo ev = { Check.Topo_run.ev; dwell_ms = 50 } in
+        strips "topo-check"
+          (topo (Check.Topo_run.Srlg_fail 0), topo (Check.Topo_run.Extern_fail 1))
+          (List.init 8 (fun l -> topo (Check.Topo_run.Link_down l)));
+        strips "ribscale-check"
+          (Check.Ribscale.Peer_down 3, Check.Ribscale.Storm { peer = 1; share_pct = 40 })
+          (List.init 8 (fun peer -> Check.Ribscale.Readvertise { peer })));
     Alcotest.test_case "shrink is the identity on passing schedules" `Quick
       (fun () ->
         let sched = Check.Schedule.generate ~seed:3L ~length:10 () in
-        let shrunk = Check.Schedule.shrink ~fails:(fun _ -> false) sched in
-        Alcotest.(check int) "untouched" 10 (Check.Schedule.length shrunk);
+        let steps = Check.Shrink.list ~fails:(fun _ -> false) sched.steps in
+        Alcotest.(check int) "untouched" 10 (List.length steps);
         Alcotest.(check string) "same schedule"
           (Fmt.str "%a" Check.Schedule.pp sched)
-          (Fmt.str "%a" Check.Schedule.pp shrunk));
+          (Fmt.str "%a" Check.Schedule.pp { sched with steps }));
   ]
 
 (* --- the side-effect-free switch probe --------------------------------- *)
@@ -260,10 +262,69 @@ let run_tests =
             f.violations);
   ]
 
+(* --- reproduce lines ----------------------------------------------------- *)
+
+(* The flags of a failure report's "reproduce: sc_lab <command> ..."
+   line, bare switches with an empty value. *)
+let reproduce_flags report =
+  let line =
+    List.find (String.starts_with ~prefix:"reproduce: sc_lab ")
+      (String.split_on_char '\n' report)
+  in
+  let rec flags = function
+    | f :: v :: rest when not (String.starts_with ~prefix:"--" v) -> (f, v) :: flags rest
+    | f :: rest -> (f, "") :: flags rest
+    | [] -> []
+  in
+  flags (List.filteri (fun i _ -> i >= 3) (String.split_on_char ' ' line))
+
+let reproduce_tests =
+  [
+    Alcotest.test_case "reproduce lines replay the shrunk counterexample" `Quick
+      (fun () ->
+        let same pp f g =
+          match g with
+          | Some g -> Alcotest.(check string) "same shrunk schedule" (Fmt.str "%a" pp f)
+                        (Fmt.str "%a" pp g)
+          | None -> Alcotest.fail "the reproduce line passes"
+        in
+        (* Check seed 7 fails on its first schedule, 15 on its eighth. *)
+        List.iter
+          (fun seed ->
+            let f = Option.get (Check.Run.run_matrix ~mutate:true ~seed ~schedules:25 ()) in
+            let fl = reproduce_flags (Fmt.str "%a" Check.Run.pp_failure f) in
+            let int name = int_of_string (List.assoc name fl) in
+            same Check.Schedule.pp f.shrunk
+              (Option.map (fun g -> g.Check.Run.shrunk)
+                 (Check.Run.run_matrix ~n_peers:(int "--peers") ~n_prefixes:(int "--prefixes")
+                    ~events:(int "--events") ~chaos:(not (List.mem_assoc "--no-chaos" fl))
+                    ~mutate:(List.mem_assoc "--mutate" fl)
+                    ~seed:(Int64.of_string (List.assoc "--seed" fl))
+                    ~schedules:(int "--schedules") ())))
+          [ 7L; 15L ];
+        (* Ribscale seed 23 fails on its second schedule, whose own seed
+           (24) would name a different table. *)
+        let f =
+          Option.get
+            (Check.Ribscale.run_matrix ~n_peers:8 ~length:2 ~entries:300 ~mutate:true
+               ~seed:23L ~schedules:6 ())
+        in
+        Alcotest.(check int64) "second schedule" 24L f.schedule.seed;
+        let fl = reproduce_flags (Fmt.str "%a" Check.Ribscale.pp_failure f) in
+        let int name = int_of_string (List.assoc name fl) in
+        same Check.Ribscale.pp f.shrunk
+          (Option.map (fun g -> g.Check.Ribscale.shrunk)
+             (Check.Ribscale.run_matrix ~n_peers:(int "--peers") ~length:(int "--events")
+                ~entries:(int "--entries") ~mutate:(List.mem_assoc "--mutate" fl)
+                ~seed:(Int64.of_string (List.assoc "--seed" fl))
+                ~schedules:(int "--schedules") ())));
+  ]
+
 let suite =
   [
     ("check.oracle", oracle_tests);
     ("check.schedule", schedule_tests);
     ("check.resolve", resolve_tests);
     ("check.run", run_tests);
+    ("check.reproduce", reproduce_tests);
   ]

@@ -14,7 +14,7 @@ type rig = {
   controller : Supercharger.Controller.t;
   peers : Router.Peer.t array;
   peer_links : Net.Link.t array;
-  router_rx : Bgp.Message.update list ref;  (** newest first *)
+  router_rx : Bgp.Message.update Stack.t;  (** newest on top *)
 }
 
 let run_for rig s =
@@ -38,7 +38,7 @@ let settle ?(timeout = 30.0) rig =
       Supercharger.Algorithm.announced_count
         (Supercharger.Controller.algorithm rig.controller),
       Supercharger.Controller.failovers_handled rig.controller,
-      List.length !(rig.router_rx),
+      Stack.length rig.router_rx,
       Array.to_list
         (Array.map
            (fun p ->
@@ -97,8 +97,8 @@ let announce rig peer_idx prefixes =
   settle rig
 
 let vnh_of_last_announce rig =
-  match !(rig.router_rx) with
-  | { Bgp.Message.attrs = Some attrs; _ } :: _ -> attrs.Bgp.Attributes.next_hop
+  match Stack.top_opt rig.router_rx with
+  | Some { Bgp.Message.attrs = Some attrs; _ } -> attrs.Bgp.Attributes.next_hop
   | _ -> Alcotest.fail "no announcement reached the router"
 
 let controller_tests =
@@ -236,11 +236,11 @@ let controller_tests =
         | None -> Alcotest.fail "route not restored from the Adj-RIB-In");
         (* A peer re-sending the identical route after recovery must not
            cause churn towards the router. *)
-        let before = List.length !(rig.router_rx) in
+        let before = Stack.length rig.router_rx in
         announce rig 0 ["1.0.0.0/24"];
         settle rig;
         Alcotest.(check int) "identical re-announcement is phantom churn" before
-          (List.length !(rig.router_rx)));
+          (Stack.length rig.router_rx));
     Alcotest.test_case "withdraw storm converges to consistent state" `Quick
       (fun () ->
         let rig = make_rig () in
@@ -454,8 +454,8 @@ let controller_tests =
           { Bgp.Message.withdrawn = List.map Net.Prefix.v prefixes;
             attrs = None; nlri = [] };
         settle rig;
-        match !(rig.router_rx) with
-        | { Bgp.Message.withdrawn; attrs = None; nlri = [] } :: _ ->
+        match Stack.top_opt rig.router_rx with
+        | Some { Bgp.Message.withdrawn; attrs = None; nlri = [] } ->
           Alcotest.(check int) "all ten in one message" 10 (List.length withdrawn)
         | _ -> Alcotest.fail "head of router_rx is not a pure withdrawal");
     Alcotest.test_case "group churn returns groups, rules and VNHs to baseline"

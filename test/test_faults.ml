@@ -157,7 +157,7 @@ type rig = {
   channel_faults : Sim.Faults.t array;
   router_faults : Sim.Faults.t;
   of_faults : Sim.Faults.t;
-  router_rx : Bgp.Message.update list ref;  (** newest first *)
+  router_rx : Bgp.Message.update Stack.t;  (** newest on top *)
 }
 
 let make_rig ?(seed = 9L) ?(n_peers = 2) ?(bfd_debounce = Sim.Time.of_ms 100)
@@ -499,8 +499,8 @@ let scenario_tests =
         Alcotest.(check bool) "ladder retried before giving up" true
           (counter rig "controller.rule_retries" >= 2);
         (* Passthrough: the router now sees real next hops, not VNHs. *)
-        (match !(rig.router_rx) with
-        | { Bgp.Message.attrs = Some attrs; _ } :: _ ->
+        (match Stack.top_opt rig.router_rx with
+        | Some { Bgp.Message.attrs = Some attrs; _ } ->
           Alcotest.(check bool) "legacy-path announcement" true
             (Supercharger.Backup_group.find_by_vnh
                (Supercharger.Controller.groups rig.controller)
@@ -514,8 +514,8 @@ let scenario_tests =
           (Supercharger.Controller.degraded rig.controller);
         Alcotest.(check int) "one recovery" 1
           (counter rig "controller.recoveries");
-        (match !(rig.router_rx) with
-        | { Bgp.Message.attrs = Some attrs; _ } :: _ ->
+        (match Stack.top_opt rig.router_rx with
+        | Some { Bgp.Message.attrs = Some attrs; _ } ->
           Alcotest.(check bool) "supercharged announcement is back" true
             (Supercharger.Backup_group.find_by_vnh
                (Supercharger.Controller.groups rig.controller)
