@@ -222,7 +222,7 @@ let interpret rig (gt : ground_truth) ev =
 let checkpoint_every = 8
 
 let[@lint.domain_entry
-     "checker schedule runner: ROADMAP item 4 fans the schedule matrix out \
+     "checker schedule runner: ROADMAP item 6 fans the schedule matrix out \
       one schedule per domain; everything below this frame must be \
       domain-confined or guarded"] execute ?(mutate = false) (sched : Schedule.t)
     =

@@ -2,9 +2,10 @@
     full supercharged rig and the flat-FIB {!Oracle} side by side.
 
     {!execute} builds a fresh deterministic rig from the schedule's seed
-    — switch, controller, BFD, upstream peers, a recording downstream
-    router, and a fault injector on every message path — interprets each
-    event against both the real pipeline and the oracle, evaluates
+    — the {!Experiments.Lab} Fig. 4 lab with one controller replica and
+    the lab's recording R1, plus a fault injector on every message path
+    — interprets each event against both the real pipeline and the
+    oracle, evaluates
     {!Invariants.transient} after every event, and
     {!Invariants.at_quiescence} at periodic checkpoints and at the end,
     after driving the simulation to a quiescent point.

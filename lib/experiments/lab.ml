@@ -37,10 +37,15 @@ type t = {
   router_rx : Bgp.Message.update Stack.t;
 }
 
-let plug engine switch ~port ~name connect =
+(* A device's link to [port], with the plain L2 rule that delivers its
+   MAC there. *)
+let plug engine switch ~port ~name ~mac connect =
   let link = Net.Link.create engine ~name () in
   connect link Net.Link.A;
   Openflow.Switch.attach_link switch ~port link Net.Link.B;
+  Openflow.Flow_table.apply (Openflow.Switch.table switch)
+    (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
+       (Openflow.Ofmatch.dl_dst mac) [Openflow.Action.Output port]);
   link
 
 (* R1's side of a controller session when no real router is attached:
@@ -82,7 +87,8 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
   let r1_link =
     Option.map
       (fun r1 ->
-        plug engine switch ~port:0 ~name:"r1-sw" (Router.Legacy.connect_interface r1 0))
+        plug engine switch ~port:0 ~name:"r1-sw" ~mac:mac_r1
+          (Router.Legacy.connect_interface r1 0))
       r1
   in
   let peer_links =
@@ -90,19 +96,9 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
       (fun i peer ->
         plug engine switch ~port:(port_peer i)
           ~name:(Router.Peer.name peer ^ "-sw")
-          (Router.Peer.connect peer))
+          ~mac:(mac_peer i) (Router.Peer.connect peer))
       peers
   in
-  (* Plain L2 rules. Same-priority rules are scanned in install order,
-     so the NICs, which receive every BFD reply, come first. *)
-  List.iter
-    (fun (mac, port) ->
-      Openflow.Flow_table.apply (Openflow.Switch.table switch)
-        (Openflow.Flow_table.flow_mod ~priority:10 Openflow.Flow_table.Add
-           (Openflow.Ofmatch.dl_dst mac) [Openflow.Action.Output port]))
-    (List.init replicas (fun i -> (mac_controller i, port_controller ~n_peers i))
-    @ List.init n_peers (fun i -> (mac_peer i, port_peer i))
-    @ if Option.is_none r1 then [] else [ (mac_r1, 0) ]);
   let router_rx = Stack.create () in
   let replica c_idx =
     (* Names are joined with [^], not Fmt.str: check-chaos builds a lab
@@ -115,14 +111,14 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
            ~asn:asn_r1 ~router_id:(ip_controller c_idx))
     in
     C.connect_switch ~use_codec:of_codec ?faults:of_faults c switch;
+    let mac = mac_controller c_idx in
     let nic =
-      Router.Endhost.create engine ~name:(tag ^ "-nic") ~mac:(mac_controller c_idx)
-        ~ip:(ip_controller c_idx) ()
+      Router.Endhost.create engine ~name:(tag ^ "-nic") ~mac ~ip:(ip_controller c_idx) ()
     in
     ignore
       (plug engine switch
          ~port:(port_controller ~n_peers c_idx)
-         ~name:(tag ^ "-sw") (Router.Endhost.connect nic));
+         ~name:(tag ^ "-sw") ~mac (Router.Endhost.connect nic));
     C.attach_dataplane c nic;
     let upstream =
       Array.mapi

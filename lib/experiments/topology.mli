@@ -8,6 +8,10 @@
     to the switch; in plain mode R1 peers with R2/R3 directly and runs
     BFD to them itself.
 
+    The switch, the providers and the controller replicas come from
+    {!Lab}; [run] adds R1, the traffic source and sink, and in plain
+    mode R1's own BGP sessions and BFD towards the providers.
+
     [run] executes the full §4 methodology: establish sessions, load the
     feeds (R2 first, then R3, both peers advertising the same table),
     wait for the control plane and FIB to settle, start traffic towards
