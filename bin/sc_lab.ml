@@ -6,9 +6,31 @@
      dune exec bin/sc_lab.exe -- run --prefixes 10000 --mode supercharged
      dune exec bin/sc_lab.exe -- run --mode plain --trace --flows 10
      dune exec bin/sc_lab.exe -- micro --count 100000
-     dune exec bin/sc_lab.exe -- fig5 --sizes 1000,10000 --reps 2 *)
+     dune exec bin/sc_lab.exe -- fig5 --sizes 1000,10000 --reps 2
+     dune exec bin/sc_lab.exe -- ablations *)
 
 open Cmdliner
+
+(* Every count flag: zero or a negative number is a usage error that
+   names the flag, not an exception deep inside a run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+(* The library rejects inputs it cannot run with [Invalid_argument]
+   (for example "need >= 6 routers"). Report that as a usage error on
+   the flags those checks concern (exit 124), as cmdliner reports a bad
+   value, rather than as an uncaught exception (exit 125). *)
+let input_checked ~flags run =
+  match run () with
+  | () -> `Ok ()
+  | exception Invalid_argument msg ->
+    let names = String.concat ", " (List.map (Fmt.str "'%s'") flags) in
+    `Error (true, Fmt.str "option %s: %s" names msg)
 
 let mode_conv =
   let parse = function
@@ -21,7 +43,7 @@ let mode_conv =
   Arg.conv (parse, print)
 
 let prefixes_arg =
-  Arg.(value & opt int 10_000 & info ["prefixes"; "n"] ~docv:"N" ~doc:"Table size.")
+  Arg.(value & opt pos_int 10_000 & info ["prefixes"; "n"] ~docv:"N" ~doc:"Table size.")
 
 let mode_arg =
   Arg.(
@@ -30,7 +52,7 @@ let mode_arg =
     & info ["mode"] ~docv:"MODE" ~doc:"plain, supercharged or dual.")
 
 let flows_arg =
-  Arg.(value & opt int 100 & info ["flows"] ~docv:"N" ~doc:"Monitored flows.")
+  Arg.(value & opt pos_int 100 & info ["flows"] ~docv:"N" ~doc:"Monitored flows.")
 
 let seed_arg =
   Arg.(value & opt int64 42L & info ["seed"] ~docv:"SEED" ~doc:"Simulation seed.")
@@ -53,10 +75,10 @@ let flowmod_arg =
     & info ["flow-mod-latency"] ~docv:"MS" ~doc:"Switch rule installation latency (ms).")
 
 let peers_arg =
-  Arg.(value & opt int 2 & info ["peers"] ~docv:"N" ~doc:"Number of provider peers (2-8).")
+  Arg.(value & opt pos_int 2 & info ["peers"] ~docv:"N" ~doc:"Number of provider peers (2-8).")
 
 let group_size_arg =
-  Arg.(value & opt int 2 & info ["group-size"] ~docv:"K" ~doc:"Backup-group tuple size.")
+  Arg.(value & opt pos_int 2 & info ["group-size"] ~docv:"K" ~doc:"Backup-group tuple size.")
 
 let failure_conv =
   let parse = function
@@ -94,6 +116,7 @@ let pcap_arg =
 let run_cmd =
   let run n_prefixes mode flows seed trace dense bfd_tx flowmod_ms n_peers group_size
       failure pcap bgp_wire =
+    input_checked ~flags:["--peers"; "--group-size"; "--failure"] @@ fun () ->
     let params = Experiments.Topology.default_params ~mode ~n_prefixes () in
     let params =
       {
@@ -143,13 +166,14 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one convergence experiment (Fig. 4 lab).")
     Term.(
-      const run $ prefixes_arg $ mode_arg $ flows_arg $ seed_arg $ trace_arg
-      $ dense_arg $ bfd_tx_arg $ flowmod_arg $ peers_arg $ group_size_arg
-      $ failure_arg $ pcap_arg $ wire_arg)
+      ret
+        (const run $ prefixes_arg $ mode_arg $ flows_arg $ seed_arg $ trace_arg
+        $ dense_arg $ bfd_tx_arg $ flowmod_arg $ peers_arg $ group_size_arg
+        $ failure_arg $ pcap_arg $ wire_arg))
 
 let micro_cmd =
   let count_arg =
-    Arg.(value & opt int 500_000 & info ["count"] ~docv:"N" ~doc:"Prefixes per peer.")
+    Arg.(value & opt pos_int 500_000 & info ["count"] ~docv:"N" ~doc:"Prefixes per peer.")
   in
   let run count =
     Fmt.pr "%a@." Experiments.Micro.pp_report (Experiments.Micro.run ~count ())
@@ -162,11 +186,11 @@ let fig5_cmd =
   let sizes_arg =
     Arg.(
       value
-      & opt (list int) Experiments.Fig5.paper_sizes
+      & opt (list pos_int) Experiments.Fig5.paper_sizes
       & info ["sizes"] ~docv:"N,N,..." ~doc:"Prefix counts to sweep.")
   in
   let reps_arg =
-    Arg.(value & opt int 1 & info ["reps"] ~docv:"N" ~doc:"Repetitions per point.")
+    Arg.(value & opt pos_int 1 & info ["reps"] ~docv:"N" ~doc:"Repetitions per point.")
   in
   let csv_arg =
     Arg.(
@@ -211,21 +235,46 @@ let fig5_cmd =
   Cmd.v (Cmd.info "fig5" ~doc:"Reproduce Fig. 5 (convergence vs table size).")
     Term.(const run $ sizes_arg $ reps_arg $ flows_arg $ csv_arg $ json_arg)
 
+let ablations_cmd =
+  let run () =
+    let module A = Experiments.Ablations in
+    let section title = Fmt.pr "@.=== %s ===@.@." title in
+    let n_prefixes = 10_000 in
+    section "Ablation A1 - supercharged convergence vs BFD interval";
+    A.pp_points
+      ~header:(Fmt.str "(%d prefixes, detect mult 3)" n_prefixes)
+      Fmt.stdout (A.bfd_sweep ~n_prefixes ());
+    section "Ablation A2 - supercharged convergence vs flow-mod latency";
+    A.pp_points
+      ~header:(Fmt.str "(%d prefixes, BFD 3 x 40ms)" n_prefixes)
+      Fmt.stdout (A.flow_mod_sweep ~n_prefixes ());
+    section "Ablation A3 - controller replication (S3)";
+    Fmt.pr "%a@." A.pp_replica_report (A.replicas ~n_prefixes:5_000 ());
+    section "Ablation A4 - backup-groups of any size (double failure)";
+    Fmt.pr "%a@." A.pp_double_failure (A.double_failure ~n_prefixes:2_000 ())
+  in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Ablations A1-A4: BFD interval and flow-mod latency sweeps, replicated \
+          controllers, and backup-groups of three under a double failure.")
+    Term.(const run $ const ())
+
 let check_cmd =
   let schedules_arg =
     Arg.(
-      value & opt int 50
+      value & opt pos_int 50
       & info ["schedules"] ~docv:"N" ~doc:"Random schedules to execute.")
   in
   let events_arg =
-    Arg.(value & opt int 30 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
+    Arg.(value & opt pos_int 30 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
   in
   let check_peers_arg =
-    Arg.(value & opt int 3 & info ["peers"] ~docv:"N" ~doc:"Upstream peers.")
+    Arg.(value & opt pos_int 3 & info ["peers"] ~docv:"N" ~doc:"Upstream peers.")
   in
   let check_prefixes_arg =
     Arg.(
-      value & opt int 12 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
+      value & opt pos_int 12 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
   in
   let no_chaos_arg =
     Arg.(
@@ -243,6 +292,7 @@ let check_cmd =
              status is inverted accordingly.")
   in
   let run schedules events n_peers n_prefixes no_chaos mutate seed =
+    input_checked ~flags:["--peers"] @@ fun () ->
     Fmt.pr "check: %d schedules x %d events, %d peers, %d prefixes, seed=%Ld%s%s@."
       schedules events n_peers n_prefixes seed
       (if no_chaos then ", chaos off" else "")
@@ -278,8 +328,9 @@ let check_cmd =
        ~doc:
          "Differential checker: random event schedules against the flat-FIB oracle.")
     Term.(
-      const run $ schedules_arg $ events_arg $ check_peers_arg $ check_prefixes_arg
-      $ no_chaos_arg $ mutate_arg $ seed_arg)
+      ret
+        (const run $ schedules_arg $ events_arg $ check_peers_arg $ check_prefixes_arg
+        $ no_chaos_arg $ mutate_arg $ seed_arg))
 
 let topo_check_cmd =
   let seeds_arg =
@@ -289,15 +340,16 @@ let topo_check_cmd =
       & info ["seeds"] ~docv:"S,S,..." ~doc:"One schedule per seed.")
   in
   let routers_arg =
-    Arg.(value & opt int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
+    Arg.(value & opt pos_int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
   in
   let events_arg =
-    Arg.(value & opt int 14 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
+    Arg.(value & opt pos_int 14 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
   in
   let topo_prefixes_arg =
-    Arg.(value & opt int 6 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
+    Arg.(value & opt pos_int 6 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
   in
   let run seeds routers events n_prefixes =
+    input_checked ~flags:["--routers"] @@ fun () ->
     Fmt.pr
       "topo-check: %d schedules x %d events, %d routers, %d prefixes, seeds=[%a]@."
       (List.length seeds) events routers n_prefixes
@@ -325,24 +377,24 @@ let topo_check_cmd =
          "Multi-node differential checker: seeded fault schedules (extern/link/srlg \
           failures, controller partitions) on a ring fabric, verified against the \
           ground-truth forwarding oracle at quiescence.")
-    Term.(const run $ seeds_arg $ routers_arg $ events_arg $ topo_prefixes_arg)
+    Term.(ret (const run $ seeds_arg $ routers_arg $ events_arg $ topo_prefixes_arg))
 
 let ribscale_check_cmd =
   let schedules_arg =
     Arg.(
-      value & opt int 3
+      value & opt pos_int 3
       & info ["schedules"] ~docv:"N"
           ~doc:"Schedules to execute, from consecutive seeds.")
   in
   let events_arg =
-    Arg.(value & opt int 10 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
+    Arg.(value & opt pos_int 10 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
   in
   let rs_peers_arg =
-    Arg.(value & opt int 100 & info ["peers"] ~docv:"N" ~doc:"Peers (skewed views).")
+    Arg.(value & opt pos_int 100 & info ["peers"] ~docv:"N" ~doc:"Peers (skewed views).")
   in
   let entries_arg =
     Arg.(
-      value & opt int 60_000
+      value & opt pos_int 60_000
       & info ["entries"] ~docv:"N" ~doc:"Internet-shape table size.")
   in
   let mutate_arg =
@@ -401,10 +453,10 @@ let ribscale_check_cmd =
 
 let deployment_cmd =
   let routers_arg =
-    Arg.(value & opt int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
+    Arg.(value & opt pos_int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
   in
   let dep_prefixes_arg =
-    Arg.(value & opt int 200 & info ["prefixes"] ~docv:"N" ~doc:"Prefixes per extern.")
+    Arg.(value & opt pos_int 200 & info ["prefixes"] ~docv:"N" ~doc:"Prefixes per extern.")
   in
   let seeds_arg =
     Arg.(
@@ -433,6 +485,7 @@ let deployment_cmd =
           ~doc:"Also write the rows as JSON (schema bench/v1).")
   in
   let run routers n_prefixes seeds coverage csv json =
+    input_checked ~flags:["--routers"; "--prefixes"] @@ fun () ->
     let rows =
       Experiments.Deployment.run ~routers ~n_prefixes ?coverage ~seeds
         ~progress:(fun m -> Fmt.epr "  %s@." m)
@@ -464,8 +517,9 @@ let deployment_cmd =
          "Partial-deployment sweep: convergence win vs fraction of routers \
           supercharged, on the multi-router fabric.")
     Term.(
-      const run $ routers_arg $ dep_prefixes_arg $ seeds_arg $ coverage_arg $ csv_arg
-      $ json_arg)
+      ret
+        (const run $ routers_arg $ dep_prefixes_arg $ seeds_arg $ coverage_arg $ csv_arg
+        $ json_arg))
 
 let lint_cmd =
   let root_arg =
@@ -600,6 +654,7 @@ let () =
             run_cmd;
             micro_cmd;
             fig5_cmd;
+            ablations_cmd;
             check_cmd;
             topo_check_cmd;
             ribscale_check_cmd;

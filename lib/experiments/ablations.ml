@@ -113,33 +113,6 @@ let replicas ?(n_prefixes = 5_000) ?(seed = 42L) () =
     convergence_max_s = (Stats.summarize samples).Stats.max;
   }
 
-let point_to_json p =
-  Obs.Json.Obj
-    [
-      ("label", Obs.Json.String p.label);
-      ("value_ms", Obs.Json.Float p.value_ms);
-      ("median_s", Obs.Json.Float p.median_s);
-      ("max_s", Obs.Json.Float p.max_s);
-    ]
-
-let points_to_json points = Obs.Json.List (List.map point_to_json points)
-
-let double_failure_to_json r =
-  Obs.Json.Obj
-    [
-      ("first_outage_s", Obs.Json.Float r.first_outage_s);
-      ("second_outage_pairs_s", Obs.Json.Float r.second_outage_pairs_s);
-      ("second_outage_triples_s", Obs.Json.Float r.second_outage_triples_s);
-    ]
-
-let replica_report_to_json r =
-  Obs.Json.Obj
-    [
-      ("identical_groups", Obs.Json.Bool r.identical_groups);
-      ("identical_rules", Obs.Json.Bool r.identical_rules);
-      ("convergence_max_s", Obs.Json.Float r.convergence_max_s);
-    ]
-
 let pp_points ~header ppf points =
   Fmt.pf ppf "%s@." header;
   Fmt.pf ppf "%-18s %12s %12s@." "point" "median(s)" "max(s)";

@@ -53,9 +53,5 @@ type replica_report = {
 
 val replicas : ?n_prefixes:int -> ?seed:int64 -> unit -> replica_report
 
-val points_to_json : point list -> Obs.Json.t
-val double_failure_to_json : double_failure_report -> Obs.Json.t
-val replica_report_to_json : replica_report -> Obs.Json.t
-
 val pp_points : header:string -> Format.formatter -> point list -> unit
 val pp_replica_report : Format.formatter -> replica_report -> unit

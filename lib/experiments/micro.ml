@@ -62,26 +62,6 @@ let run ?(count = 500_000) ?(seed = 42L) () =
     total_s;
   }
 
-let to_json r =
-  Obs.Json.Obj
-    [
-      ("updates", Obs.Json.Int r.updates);
-      ("emissions", Obs.Json.Int r.emissions);
-      ("backup_groups", Obs.Json.Int r.backup_groups);
-      ("per_update_us",
-       Obs.Json.Obj
-         [
-           ("mean", Obs.Json.Float r.mean_us);
-           ("p50", Obs.Json.Float r.p50_us);
-           ("p99", Obs.Json.Float r.p99_us);
-           ("max", Obs.Json.Float r.max_us);
-         ]);
-      ("total_seconds", Obs.Json.Float r.total_s);
-      ("updates_per_sec",
-       Obs.Json.Float
-         (if r.total_s > 0.0 then float_of_int r.updates /. r.total_s else 0.0));
-    ]
-
 let pp_report ppf r =
   Fmt.pf ppf
     "@[<v>controller micro-benchmark: %d updates -> %d emissions, %d backup-groups@,\

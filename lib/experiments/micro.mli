@@ -27,7 +27,4 @@ val run : ?count:int -> ?seed:int64 -> unit -> report
 (** [count] prefixes per peer (default 500_000 — the paper's size;
     tests use smaller). *)
 
-val to_json : report -> Obs.Json.t
-(** The report as a JSON object, including derived [updates_per_sec]. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -378,6 +378,33 @@ let fig5_tests =
           [40; 80]);
   ]
 
+let ablation_tests =
+  [
+    Alcotest.test_case "ablations A1-A4 keep their shape" `Slow (fun () ->
+        let module A = Experiments.Ablations in
+        let maxima points = List.map (fun (p : A.point) -> p.max_s) points in
+        let rec pairwise ok = function
+          | a :: (b :: _ as rest) -> ok a b && pairwise ok rest
+          | [_] | [] -> true
+        in
+        (* A1: detection dominates, so a longer BFD interval is slower. *)
+        Alcotest.(check bool) "A1: max convergence rises with the BFD interval" true
+          (pairwise ( < ) (maxima (A.bfd_sweep ~n_prefixes:500 ())));
+        (* A2: a slower switch never makes the failover faster. *)
+        Alcotest.(check bool) "A2: max convergence does not fall with flow-mod latency"
+          true
+          (pairwise ( <= ) (maxima (A.flow_mod_sweep ~n_prefixes:500 ())));
+        let r = A.replicas ~n_prefixes:500 () in
+        Alcotest.(check bool) "A3: identical groups" true r.A.identical_groups;
+        Alcotest.(check bool) "A3: identical rules" true r.A.identical_rules;
+        let d = A.double_failure ~n_prefixes:500 () in
+        Alcotest.(check bool)
+          (Fmt.str "A4: triples' second outage %.3fs below pairs' %.3fs"
+             d.A.second_outage_triples_s d.A.second_outage_pairs_s)
+          true
+          (d.A.second_outage_triples_s < d.A.second_outage_pairs_s));
+  ]
+
 let suite =
   [
     ("experiments.stats", stats_tests);
@@ -385,4 +412,5 @@ let suite =
     ("experiments.golden", golden_tests);
     ("experiments.micro", micro_tests);
     ("experiments.fig5", fig5_tests);
+    ("experiments.ablations", ablation_tests);
   ]

@@ -147,6 +147,9 @@ let regression_tests =
           (Fmt.str "visits %d bounded by 16 x %d routes" visits k)
           true
           (visits <= 16 * k);
+        (* The exact count at this seed, so any change to how peer-down
+           walks the candidate lists shows, not only one past the bound. *)
+        Alcotest.(check int) "exact peer-down visits (seed 11, 100k)" 4976 visits;
         Alcotest.(check bool) "visits well below table size" true
           (visits < table / 2));
     Alcotest.test_case "shard histogram tracks the table's length mix" `Quick

@@ -119,7 +119,26 @@ let backup_group_tests =
         Alcotest.(check int) "n=2,k=2" 2
           (Supercharger.Backup_group.theoretical_max ~n_peers:2 ~group_size:2);
         Alcotest.(check int) "k>n" 0
-          (Supercharger.Backup_group.theoretical_max ~n_peers:1 ~group_size:2));
+          (Supercharger.Backup_group.theoretical_max ~n_peers:1 ~group_size:2);
+        (* The table behind it: allocating every ordered pair of n peers,
+           as a worst-case table would, makes n*(n-1) groups. *)
+        List.iter
+          (fun n ->
+            let g = make_groups () in
+            for i = 0 to n - 1 do
+              for j = 0 to n - 1 do
+                if i <> j then
+                  ignore
+                    (Supercharger.Backup_group.find_or_create g
+                       [Net.Ipv4.of_octets 10 0 0 (2 + i); Net.Ipv4.of_octets 10 0 0 (2 + j)])
+              done
+            done;
+            Alcotest.(check int) (Fmt.str "n=%d: every ordered pair" n) (n * (n - 1))
+              (Supercharger.Backup_group.count g);
+            Alcotest.(check int) (Fmt.str "n=%d: the theoretical max" n)
+              (Supercharger.Backup_group.count g)
+              (Supercharger.Backup_group.theoretical_max ~n_peers:n ~group_size:2))
+          [2; 3; 4; 5; 6; 8; 10; 12; 16]);
   ]
 
 (* Drives the algorithm through RIB changes like the controller does. *)
