@@ -22,14 +22,23 @@ let pos_int =
   Arg.conv (parse, Fmt.int)
 
 (* The library rejects inputs it cannot run with [Invalid_argument]
-   (for example "need >= 6 routers"). Report that as a usage error on
-   the flags those checks concern (exit 124), as cmdliner reports a bad
-   value, rather than as an uncaught exception (exit 125). *)
+   (for example "need >= 6 routers"). Report that as a usage error
+   (exit 124), as cmdliner reports a bad value, rather than as an
+   uncaught exception (exit 125). It blames the flags among [flags]
+   whose name the message mentions ("n_prefixes" mentions '--prefixes'),
+   or all of them when it mentions none. *)
 let input_checked ~flags run =
   match run () with
   | () -> `Ok ()
   | exception Invalid_argument msg ->
-    let names = String.concat ", " (List.map (Fmt.str "'%s'") flags) in
+    let mentions flag =
+      let name = String.sub flag 2 (String.length flag - 2) in
+      let n = String.length name in
+      let rec at i = i + n <= String.length msg && (String.sub msg i n = name || at (i + 1)) in
+      at 0
+    in
+    let blamed = match List.filter mentions flags with [] -> flags | fs -> fs in
+    let names = String.concat ", " (List.map (Fmt.str "'%s'") blamed) in
     `Error (true, Fmt.str "option %s: %s" names msg)
 
 let mode_conv =
@@ -260,14 +269,47 @@ let ablations_cmd =
           controllers, and backup-groups of three under a double failure.")
     Term.(const run $ const ())
 
+(* The checkers' shared verdict. A counterexample fails the run unless
+   --mutate armed a bug on purpose: then catching and shrinking it is the
+   pass, and a clean matrix is the failure. *)
+let verdict ~mutate ~pp ~length ~schedules ~passed run =
+  let t0 = Sys.time () in
+  let result = run () in
+  let dt = Sys.time () -. t0 in
+  let pp_failure = Check.Harness.pp_failure ~pp ~length in
+  match result, mutate with
+  | None, false ->
+    Fmt.pr "PASS: %s (%.1fs)@." passed dt;
+    exit 0
+  | Some f, true ->
+    Fmt.pr "PASS (%.1fs): mutation caught and shrunk to %d events@.%a" dt
+      (length f.Check.Harness.shrunk) pp_failure f;
+    exit 0
+  | None, true ->
+    Fmt.pr "FAIL: the armed mutation survived %d schedules undetected (%.1fs)@."
+      schedules dt;
+    exit 1
+  | Some f, false ->
+    Fmt.pr "FAIL (%.1fs):@.%a" dt pp_failure f;
+    exit 1
+
+let events_arg default =
+  Arg.(value & opt pos_int default & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
+
+let mutate_arg bug =
+  Arg.(
+    value & flag
+    & info ["mutate"]
+        ~doc:
+          (bug
+          ^ "; the checker is expected to find and shrink a counterexample, and \
+             the exit status is inverted accordingly."))
+
 let check_cmd =
   let schedules_arg =
     Arg.(
       value & opt pos_int 50
       & info ["schedules"] ~docv:"N" ~doc:"Random schedules to execute.")
-  in
-  let events_arg =
-    Arg.(value & opt pos_int 30 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
   in
   let check_peers_arg =
     Arg.(value & opt pos_int 3 & info ["peers"] ~docv:"N" ~doc:"Upstream peers.")
@@ -282,46 +324,19 @@ let check_cmd =
       & info ["no-chaos"]
           ~doc:"Disable fault-window events (blackouts, loss, duplicates).")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info ["mutate"]
-          ~doc:
-            "Arm the deliberate Listing 2 bug (one skipped failover rewrite); the \
-             checker is expected to find and shrink a counterexample, and the exit \
-             status is inverted accordingly.")
-  in
   let run schedules events n_peers n_prefixes no_chaos mutate seed =
-    input_checked ~flags:["--peers"] @@ fun () ->
+    input_checked ~flags:["--peers"; "--prefixes"] @@ fun () ->
     Fmt.pr "check: %d schedules x %d events, %d peers, %d prefixes, seed=%Ld%s%s@."
       schedules events n_peers n_prefixes seed
       (if no_chaos then ", chaos off" else "")
       (if mutate then ", MUTATED (skip one failover rewrite)" else "");
-    let t0 = Sys.time () in
-    let result =
-      Check.Run.run_matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos)
-        ~mutate
-        ~progress:(fun i ->
-          if i mod 25 = 0 && i > 0 then Fmt.epr "  ... %d/%d clean@." i schedules)
-        ~seed ~schedules ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result, mutate with
-    | None, false ->
-      Fmt.pr "PASS: %d schedules, zero invariant violations (%.1fs)@." schedules dt;
-      exit 0
-    | None, true ->
-      Fmt.pr "FAIL: the armed mutation survived %d schedules undetected (%.1fs)@."
-        schedules dt;
-      exit 1
-    | Some f, false ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Run.pp_failure f;
-      exit 1
-    | Some f, true ->
-      Fmt.pr "PASS (%.1fs): mutation caught and shrunk to %d events@.%a" dt
-        (Check.Schedule.length f.Check.Run.shrunk)
-        Check.Run.pp_failure f;
-      exit 0
+    verdict ~mutate ~pp:Check.Schedule.pp ~length:Check.Schedule.length ~schedules
+      ~passed:(Fmt.str "%d schedules, zero invariant violations" schedules)
+    @@ fun () ->
+    Check.Run.run_matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos) ~mutate
+      ~progress:(fun i ->
+        if i mod 25 = 0 && i > 0 then Fmt.epr "  ... %d/%d clean@." i schedules)
+      ~seed ~schedules ()
   in
   Cmd.v
     (Cmd.info "check"
@@ -329,8 +344,10 @@ let check_cmd =
          "Differential checker: random event schedules against the flat-FIB oracle.")
     Term.(
       ret
-        (const run $ schedules_arg $ events_arg $ check_peers_arg $ check_prefixes_arg
-        $ no_chaos_arg $ mutate_arg $ seed_arg))
+        (const run $ schedules_arg $ events_arg 30 $ check_peers_arg
+        $ check_prefixes_arg $ no_chaos_arg
+        $ mutate_arg "Arm the deliberate Listing 2 bug (one skipped failover rewrite)"
+        $ seed_arg))
 
 let topo_check_cmd =
   let seeds_arg =
@@ -342,34 +359,24 @@ let topo_check_cmd =
   let routers_arg =
     Arg.(value & opt pos_int 8 & info ["routers"] ~docv:"N" ~doc:"Ring size (>= 6).")
   in
-  let events_arg =
-    Arg.(value & opt pos_int 14 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
-  in
   let topo_prefixes_arg =
     Arg.(value & opt pos_int 6 & info ["prefixes"] ~docv:"N" ~doc:"Distinct prefixes.")
   in
   let run seeds routers events n_prefixes =
-    input_checked ~flags:["--routers"] @@ fun () ->
+    input_checked ~flags:["--routers"; "--prefixes"] @@ fun () ->
+    let schedules = List.length seeds in
     Fmt.pr
       "topo-check: %d schedules x %d events, %d routers, %d prefixes, seeds=[%a]@."
-      (List.length seeds) events routers n_prefixes
+      schedules events routers n_prefixes
       Fmt.(list ~sep:comma int64)
       seeds;
-    let t0 = Sys.time () in
-    let result =
-      Check.Topo_run.run_matrix ~routers ~n_prefixes ~events
-        ~progress:(fun i -> Fmt.epr "  schedule %d...@." i)
-        ~seeds ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result with
-    | None ->
-      Fmt.pr "PASS: %d multi-node schedules, zero invariant violations (%.1fs)@."
-        (List.length seeds) dt;
-      exit 0
-    | Some f ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Topo_run.pp_failure f;
-      exit 1
+    verdict ~mutate:false ~pp:Check.Topo_run.pp ~length:Check.Topo_run.length
+      ~schedules
+      ~passed:(Fmt.str "%d multi-node schedules, zero invariant violations" schedules)
+    @@ fun () ->
+    Check.Topo_run.run_matrix ~routers ~n_prefixes ~events
+      ~progress:(fun i -> Fmt.epr "  schedule %d...@." i)
+      ~seeds ()
   in
   Cmd.v
     (Cmd.info "topo-check"
@@ -377,7 +384,8 @@ let topo_check_cmd =
          "Multi-node differential checker: seeded fault schedules (extern/link/srlg \
           failures, controller partitions) on a ring fabric, verified against the \
           ground-truth forwarding oracle at quiescence.")
-    Term.(ret (const run $ seeds_arg $ routers_arg $ events_arg $ topo_prefixes_arg))
+    Term.(
+      ret (const run $ seeds_arg $ routers_arg $ events_arg 14 $ topo_prefixes_arg))
 
 let ribscale_check_cmd =
   let schedules_arg =
@@ -385,9 +393,6 @@ let ribscale_check_cmd =
       value & opt pos_int 3
       & info ["schedules"] ~docv:"N"
           ~doc:"Schedules to execute, from consecutive seeds.")
-  in
-  let events_arg =
-    Arg.(value & opt pos_int 10 & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
   in
   let rs_peers_arg =
     Arg.(value & opt pos_int 100 & info ["peers"] ~docv:"N" ~doc:"Peers (skewed views).")
@@ -397,48 +402,21 @@ let ribscale_check_cmd =
       value & opt pos_int 60_000
       & info ["entries"] ~docv:"N" ~doc:"Internet-shape table size.")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info ["mutate"]
-          ~doc:
-            "Plant the deliberate stale-route bug (every 7th withdrawal never \
-             reaches the optimised RIB); the checker is expected to catch and \
-             shrink a counterexample, and the exit status is inverted \
-             accordingly.")
-  in
   let run schedules events peers entries mutate seed =
+    input_checked ~flags:["--peers"; "--entries"] @@ fun () ->
     Fmt.pr
       "ribscale-check: %d schedules x %d events, %d peers, %d-prefix internet \
        table, seed=%Ld%s@."
       schedules events peers entries seed
       (if mutate then ", MUTATED (stale-route bug armed)" else "");
-    let t0 = Sys.time () in
-    let result =
-      Check.Ribscale.run_matrix ~n_peers:peers ~length:events ~entries ~mutate
-        ~progress:(fun i -> Fmt.epr "  schedule %d/%d...@." (i + 1) schedules)
-        ~seed ~schedules ()
-    in
-    let dt = Sys.time () -. t0 in
-    match result, mutate with
-    | None, false ->
-      Fmt.pr
-        "PASS: incremental RIB matched the naive decision process on %d \
-         schedules (%.1fs)@."
-        schedules dt;
-      exit 0
-    | None, true ->
-      Fmt.pr "FAIL: the armed stale-route bug survived %d schedules undetected (%.1fs)@."
-        schedules dt;
-      exit 1
-    | Some f, false ->
-      Fmt.pr "FAIL (%.1fs):@.%a" dt Check.Ribscale.pp_failure f;
-      exit 1
-    | Some f, true ->
-      Fmt.pr "PASS (%.1fs): bug caught and shrunk to %d events@.%a" dt
-        (Check.Ribscale.length f.Check.Ribscale.shrunk)
-        Check.Ribscale.pp_failure f;
-      exit 0
+    verdict ~mutate ~pp:Check.Ribscale.pp ~length:Check.Ribscale.length ~schedules
+      ~passed:
+        (Fmt.str "incremental RIB matched the naive decision process on %d schedules"
+           schedules)
+    @@ fun () ->
+    Check.Ribscale.run_matrix ~n_peers:peers ~length:events ~entries ~mutate
+      ~progress:(fun i -> Fmt.epr "  schedule %d/%d...@." (i + 1) schedules)
+      ~seed ~schedules ()
   in
   Cmd.v
     (Cmd.info "ribscale-check"
@@ -448,8 +426,12 @@ let ribscale_check_cmd =
           views, withdrawal storms and churn trains, with full ranked-equivalence \
           checking after every event.")
     Term.(
-      const run $ schedules_arg $ events_arg $ rs_peers_arg $ entries_arg
-      $ mutate_arg $ seed_arg)
+      ret
+        (const run $ schedules_arg $ events_arg 10 $ rs_peers_arg $ entries_arg
+        $ mutate_arg
+            "Plant the deliberate stale-route bug (every 7th withdrawal never \
+             reaches the optimised RIB)"
+        $ seed_arg))
 
 let deployment_cmd =
   let routers_arg =
@@ -532,7 +514,7 @@ let lint_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info ["json"] ~docv:"FILE" ~doc:"Also write the report as JSON (schema lint/v2).")
+      & info ["json"] ~docv:"FILE" ~doc:"Also write the report as JSON (schema lint/v3).")
   in
   let strict_arg =
     Arg.(
@@ -561,23 +543,11 @@ let lint_cmd =
       value & opt_all string []
       & info ["except"] ~docv:"RULE" ~doc:"Skip the named rule(s) (repeatable).")
   in
-  let cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info ["cache"] ~docv:"FILE"
-          ~doc:"Facts-cache file (default: ROOT/_build/sc_lint.cache).")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info ["no-cache"] ~doc:"Re-parse every file; neither read nor write the cache.")
-  in
   (* Exit codes: 0 clean; 1 findings (errors, or warnings under
      --strict); 2 a file failed to parse; 3 inventory drift. Parse
      failure wins over findings, findings over drift: a tree that can't
      be read can't be trusted about anything else. *)
-  let run root json strict inventory only except cache no_cache =
+  let run root json strict inventory only except =
     let unknown =
       List.filter
         (fun r -> not (List.mem r Lint.Engine.all_rule_ids))
@@ -592,15 +562,7 @@ let lint_cmd =
       exit 2
     end;
     let only = match only with [] -> None | rs -> Some rs in
-    let cache =
-      if no_cache then None
-      else
-        Some
-          (match cache with
-          | Some p -> p
-          | None -> Filename.concat root "_build/sc_lint.cache")
-    in
-    let report = Lint.Engine.scan_tree ?cache ?only ~except root in
+    let report = Lint.Engine.scan_tree ?only ~except root in
     Lint.Engine.pp_report Fmt.stdout report;
     (match json with
     | Some path ->
@@ -641,7 +603,7 @@ let lint_cmd =
           3 inventory drift.")
     Term.(
       const run $ root_arg $ json_arg $ strict_arg $ inventory_arg $ only_arg
-      $ except_arg $ cache_arg $ no_cache_arg)
+      $ except_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

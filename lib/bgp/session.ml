@@ -180,8 +180,8 @@ let create engine ~channel ~side ~asn ~router_id ?(hold_time = 90)
   t
 
 let[@lint.domain_entry
-     "per-peer session driver: ROADMAP item 4 runs each peer's session on its \
-      own domain; the session must only touch its own channel and state"] start
+     "per-peer session driver: the multicore runway runs each peer's session \
+      on its own domain; the session must only touch its own channel and state"] start
     t =
   if t.state = Idle then begin
     Channel.send t.channel t.side

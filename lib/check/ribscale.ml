@@ -35,8 +35,17 @@ let pp ppf t =
 
 (* --- generator --------------------------------------------------------- *)
 
+(* [peer_ip] numbers peers 10.9.0.1 .. 10.9.255.200. *)
+let max_peers = 256 * 200
+
+let check_peers n =
+  if n < 1 || n > max_peers then
+    invalid_arg
+      (Fmt.str "Ribscale: n_peers must be between 1 and %d (peer addresses \
+                10.9.0.1-10.9.255.200), got %d" max_peers n)
+
 let generate ~seed ?(n_peers = 12) ?(length = 10) () =
-  if n_peers < 1 then invalid_arg "Ribscale.generate: n_peers";
+  check_peers n_peers;
   if length < 1 then invalid_arg "Ribscale.generate: length";
   let rng = Sim.Rng.create ~seed in
   (* Track cut peers so Peer_up tends to target peers that are actually
@@ -267,53 +276,22 @@ let[@lint.domain_entry
 
 (* --- matrix driver ----------------------------------------------------- *)
 
-type failure = {
-  schedule : t;
-  shrunk : t;
-  violations : string list;
-  reproduce : string;
-}
-
-let pp_failure ppf f =
-  Fmt.pf ppf "ribscale equivalence FAILED (schedule seed=%Ld, %d events)@."
-    f.schedule.seed (length f.schedule);
-  List.iter (fun v -> Fmt.pf ppf "  violation: %s@." v) f.violations;
-  Fmt.pf ppf "shrunk to %d events:@.%a" (length f.shrunk) pp f.shrunk;
-  Fmt.pf ppf "reproduce: %s@." f.reproduce
-
 let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = false)
-    ?progress ~seed ~schedules () =
+    ?(progress = ignore) ~seed ~schedules () =
   if schedules < 1 then invalid_arg "Ribscale.run_matrix: schedules";
+  check_peers n_peers;
   (* One table for the whole matrix: generation at internet shape is
      pure in the seed, so sharing it changes nothing but wall-clock. *)
   let n_entries = entries in
   let entries = Workloads.Rib_gen.generate_internet ~seed ~count:n_entries in
-  let rec go i =
-    if i >= schedules then None
-    else begin
-      (match progress with Some f -> f i | None -> ());
-      let schedule =
-        generate ~seed:(Int64.add seed (Int64.of_int i)) ~n_peers ~length ()
-      in
-      match execute ~mutate ~entries schedule with
-      | [] -> go (i + 1)
-      | _ :: _ ->
-        let fails steps =
-          match execute ~mutate ~entries { schedule with steps } with
-          | [] -> false
-          | _ :: _ -> true
-        in
-        let shrunk = { schedule with steps = Shrink.list ~fails schedule.steps } in
-        let violations = execute ~mutate ~entries shrunk in
-        (* The table comes from the matrix seed, so the command replays
-           the matrix up to this schedule rather than this one alone. *)
-        let reproduce =
-          Fmt.str "sc_lab ribscale-check --seed %Ld --schedules %d --peers %d \
-                   --entries %d --events %d%s"
-            seed (i + 1) n_peers n_entries length
-            (if mutate then " --mutate" else "")
-        in
-        Some { schedule; shrunk; violations; reproduce }
-    end
-  in
-  go 0
+  Harness.run_matrix ~schedules ~progress ~execute:(execute ~mutate ~entries)
+    ~generate:(fun i -> generate ~seed:(Int64.add seed (Int64.of_int i)) ~n_peers ~length ())
+    ~steps:(fun t -> t.steps)
+    ~with_steps:(fun t steps -> { t with steps })
+    ~reproduce:(fun i _ ->
+      (* The table comes from the matrix seed, so the command replays
+         the matrix up to this schedule rather than this one alone. *)
+      Fmt.str "sc_lab ribscale-check --seed %Ld --schedules %d --peers %d \
+               --entries %d --events %d%s"
+        seed (i + 1) n_peers n_entries length
+        (if mutate then " --mutate" else ""))

@@ -47,7 +47,8 @@ val pp : Format.formatter -> t -> unit
 
 val generate : seed:int64 -> ?n_peers:int -> ?length:int -> unit -> t
 (** Deterministic schedule of [length] events (default 10) over
-    [n_peers] peers (default 12). Every generated schedule contains at
+    [n_peers] peers (default 12, at most 51 200: the peers' addresses
+    are 10.9.0.1-10.9.255.200). Every generated schedule contains at
     least one [Storm] — one is appended when the draw produced none. *)
 
 val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> string list
@@ -63,15 +64,6 @@ val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> stri
     only (every 7th withdrawal never reaches the RIB) — the harness's
     own canary, as {!Run.execute}'s [mutate] is for the pipeline. *)
 
-type failure = {
-  schedule : t;  (** the schedule that first failed *)
-  shrunk : t;  (** its ddmin-minimal counterexample *)
-  violations : string list;  (** violations of the shrunken schedule *)
-  reproduce : string;  (** the [sc_lab ribscale-check] command that replays it *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
 val run_matrix :
   ?n_peers:int ->
   ?length:int ->
@@ -81,10 +73,11 @@ val run_matrix :
   seed:int64 ->
   schedules:int ->
   unit ->
-  failure option
+  t Harness.failure option
 (** Generates one internet-shape table of [entries] prefixes (default
-    20 000) from [seed], then generates and executes [schedules]
-    schedules from consecutive seeds [seed], [seed+1], …, stopping at
-    the first failure with its shrunken counterexample. [None] means
-    the incremental RIB matched the naive model on every schedule.
-    [progress] is called with each 0-based index before its run. *)
+    20 000) from [seed], then runs {!Harness.run_matrix} over
+    [schedules] schedules from consecutive seeds [seed], [seed+1], ….
+    [None] means the incremental RIB matched the naive model on every
+    schedule. The table depends on [seed], so the [reproduce] line
+    replays the matrix up to the failing schedule. Rejects [n_peers]
+    outside {!generate}'s range before building the table. *)

@@ -2,21 +2,6 @@ module C = Supercharger.Controller
 module Prov = Supercharger.Provisioner
 module Lab = Experiments.Lab
 
-type failure = {
-  schedule : Schedule.t;
-  shrunk : Schedule.t;
-  violations : string list;
-  reproduce : string;
-}
-
-let pp_failure ppf f =
-  Fmt.pf ppf "invariant violations:@.";
-  List.iter (fun v -> Fmt.pf ppf "  - %s@." v) f.violations;
-  Fmt.pf ppf "original %a" Schedule.pp f.schedule;
-  Fmt.pf ppf "shrunken counterexample (%d events) %a" (Schedule.length f.shrunk)
-    Schedule.pp f.shrunk;
-  Fmt.pf ppf "reproduce: %s@." f.reproduce
-
 (* Upstream BGP channels take duplicates only: BGP has no
    retransmission, so losing or reordering an announcement would change
    the test input, not stress the system (see [Schedule]). *)
@@ -222,9 +207,9 @@ let interpret rig (gt : ground_truth) ev =
 let checkpoint_every = 8
 
 let[@lint.domain_entry
-     "checker schedule runner: ROADMAP item 6 fans the schedule matrix out \
-      one schedule per domain; everything below this frame must be \
-      domain-confined or guarded"] execute ?(mutate = false) (sched : Schedule.t)
+     "checker schedule runner: the checker domain pool fans the schedule \
+      matrix out one schedule per domain; everything below this frame must \
+      be domain-confined or guarded"] execute ?(mutate = false) (sched : Schedule.t)
     =
   let rig = make_rig sched in
   if mutate then Prov.mutate_skip_rewrite (C.provisioner rig.controller) true;
@@ -259,37 +244,17 @@ let[@lint.domain_entry
   !violations
 
 let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
-    ?(mutate = false) ?progress ~seed ~schedules () =
-  let rec go i =
-    if i >= schedules then None
-    else begin
-      (match progress with Some f -> f i | None -> ());
-      let sched =
-        Schedule.generate
-          ~seed:(Int64.add seed (Int64.of_int i))
-          ~n_peers ~n_prefixes ~length:events ~chaos ()
-      in
-      match execute ~mutate sched with
-      | [] -> go (i + 1)
-      | first_violations ->
-        let steps =
-          Shrink.list sched.steps ~fails:(fun steps ->
-              execute ~mutate { sched with steps } <> [])
-        in
-        let shrunk = { sched with steps } in
-        let violations =
-          match execute ~mutate shrunk with
-          | [] -> first_violations (* unreachable: shrink preserves failure *)
-          | vs -> vs
-        in
-        let reproduce =
-          Fmt.str "sc_lab check --seed %Ld --schedules 1 --peers %d --prefixes %d \
-                   --events %d%s%s"
-            sched.seed n_peers n_prefixes events
-            (if chaos then "" else " --no-chaos")
-            (if mutate then " --mutate" else "")
-        in
-        Some { schedule = sched; shrunk; violations; reproduce }
-    end
-  in
-  go 0
+    ?(mutate = false) ?(progress = ignore) ~seed ~schedules () =
+  Harness.run_matrix ~schedules ~progress ~execute:(execute ~mutate)
+    ~generate:(fun i ->
+      Schedule.generate
+        ~seed:(Int64.add seed (Int64.of_int i))
+        ~n_peers ~n_prefixes ~length:events ~chaos ())
+    ~steps:(fun sched -> sched.Schedule.steps)
+    ~with_steps:(fun sched steps -> { sched with steps })
+    ~reproduce:(fun _ sched ->
+      Fmt.str "sc_lab check --seed %Ld --schedules 1 --peers %d --prefixes %d \
+               --events %d%s%s"
+        sched.Schedule.seed n_peers n_prefixes events
+        (if chaos then "" else " --no-chaos")
+        (if mutate then " --mutate" else ""))

@@ -19,17 +19,6 @@
     and keepalive traffic never stops, so engine-queue emptiness can
     never serve as the criterion. *)
 
-type failure = {
-  schedule : Schedule.t;  (** the schedule that first failed *)
-  shrunk : Schedule.t;  (** its ddmin-minimal counterexample *)
-  violations : string list;  (** violations of the shrunken schedule *)
-  reproduce : string;  (** the [sc_lab check] command that replays it *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-(** Prints the violations, the shrunken schedule and the [reproduce]
-    command. *)
-
 val execute : ?mutate:bool -> Schedule.t -> string list
 (** Runs one schedule; returns the invariant violations, [[]] on a clean
     pass. [mutate] arms {!Supercharger.Provisioner.mutate_skip_rewrite},
@@ -46,9 +35,8 @@ val run_matrix :
   seed:int64 ->
   schedules:int ->
   unit ->
-  failure option
-(** Generates and executes [schedules] schedules from consecutive seeds
-    [seed], [seed+1], … — defaults as in {!Schedule.generate} — and
-    stops at the first failure, returning it with its shrunken
-    counterexample. [None] means every schedule passed. [progress] is
-    called with each 0-based index before its run. *)
+  Schedule.t Harness.failure option
+(** {!Harness.run_matrix} over [schedules] schedules from consecutive
+    seeds [seed], [seed+1], … — defaults as in {!Schedule.generate}.
+    The [reproduce] line replays the failing schedule alone
+    ([sc_lab check --seed <its seed> --schedules 1 ...]). *)

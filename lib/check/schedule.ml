@@ -46,10 +46,16 @@ let prefs = [| 100; 150; 200 |]
   "constant local-pref palette, written nowhere; array literal only for cheap \
    indexed draws"]
 
+(* [Run] announces prefix i as 40.(i / 256).(i mod 256).0/24. *)
+let max_prefixes = 256 * 256
+
 let generate ~seed ?(n_peers = 3) ?(n_prefixes = 12) ?(length = 30) ?(chaos = true)
     () =
   if n_peers < 1 then invalid_arg "Schedule.generate: n_peers";
-  if n_prefixes < 1 then invalid_arg "Schedule.generate: n_prefixes";
+  if n_prefixes < 1 || n_prefixes > max_prefixes then
+    invalid_arg
+      (Fmt.str "Schedule.generate: n_prefixes must be between 1 and %d \
+                (40.0.0.0/24-40.255.255.0/24), got %d" max_prefixes n_prefixes);
   let rng = Sim.Rng.create ~seed in
   (* The generator tracks which peers it has cut so Peer_up events tend
      to target peers that are actually down — the interpreter is total

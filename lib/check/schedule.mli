@@ -68,7 +68,8 @@ val generate :
   t
 (** Draws a schedule from the seed. Defaults: 3 peers, 12 prefixes, 30
     events, [chaos] true (fault-window events included). The same seed
-    and parameters always produce the same schedule. *)
+    and parameters always produce the same schedule. At most 65 536
+    prefixes: {!Run} announces them as 40.0.0.0/24-40.255.255.0/24. *)
 
 val length : t -> int
 

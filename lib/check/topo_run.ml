@@ -50,8 +50,15 @@ let spec_of t =
     ~externs:[ (0, 200); (n / 2, 150); (n / 4, 100) ]
     ~supercharged:t.supercharged ()
 
+(* [prefix_of] numbers prefixes 203.0.0.0/24 .. 203.0.255.0/24. *)
+let max_prefixes = 256
+
 let generate ~seed ?(routers = 8) ?(n_prefixes = 6) ?(length = 14) () =
   if routers < 6 then invalid_arg "Topo_run.generate: need >= 6 routers";
+  if n_prefixes < 1 || n_prefixes > max_prefixes then
+    invalid_arg
+      (Fmt.str "Topo_run.generate: n_prefixes must be between 1 and %d \
+                (203.0.0.0/24-203.0.255.0/24), got %d" max_prefixes n_prefixes);
   let rng = Sim.Rng.create ~seed in
   (* Supercharge a seed-drawn subset that always includes the best
      egress's host, so the fast-failover path is always exercised. *)
@@ -230,37 +237,12 @@ let[@lint.domain_entry
     else check fabric t
   end
 
-type failure = {
-  schedule : t;
-  shrunk : t;
-  violations : string list;
-  reproduce : string;
-}
-
-let pp_failure ppf f =
-  Fmt.pf ppf "failing schedule:@.%a@.shrunk to:@.%a@.violations:@." pp f.schedule pp
-    f.shrunk;
-  List.iter (fun v -> Fmt.pf ppf "  - %s@." v) f.violations;
-  Fmt.pf ppf "reproduce: %s@." f.reproduce
-
-let run_matrix ?routers ?n_prefixes ?events ?progress ~seeds () =
-  let rec loop i = function
-    | [] -> None
-    | seed :: rest ->
-      (match progress with Some f -> f i | None -> ());
-      let schedule = generate ~seed ?routers ?n_prefixes ?length:events () in
-      let violations = execute schedule in
-      if violations = [] then loop (i + 1) rest
-      else
-        let steps =
-          Shrink.list schedule.steps ~fails:(fun steps ->
-              execute { schedule with steps } <> [])
-        in
-        let shrunk = { schedule with steps } in
-        let reproduce =
-          Fmt.str "sc_lab topo-check --seeds %Ld --routers %d --prefixes %d --events %d"
-            seed schedule.routers schedule.n_prefixes (length schedule)
-        in
-        Some { schedule; shrunk; violations = execute shrunk; reproduce }
-  in
-  loop 0 seeds
+let run_matrix ?routers ?n_prefixes ?events ?(progress = ignore) ~seeds () =
+  let seeds = Array.of_list seeds in
+  Harness.run_matrix ~schedules:(Array.length seeds) ~progress ~execute
+    ~generate:(fun i -> generate ~seed:seeds.(i) ?routers ?n_prefixes ?length:events ())
+    ~steps:(fun t -> t.steps)
+    ~with_steps:(fun t steps -> { t with steps })
+    ~reproduce:(fun _ t ->
+      Fmt.str "sc_lab topo-check --seeds %Ld --routers %d --prefixes %d --events %d"
+        t.seed t.routers t.n_prefixes (length t))

@@ -45,7 +45,8 @@ val generate :
 (** Draws a schedule from the seed (defaults: 8 routers, 6 prefixes, 14
     events). Router 0 — host of the best egress — is always
     supercharged so the fast-failover path is always in play. Requires
-    [routers >= 6] (the chord mesh needs it). *)
+    [routers >= 6] (the chord mesh needs it) and [1 <= n_prefixes <= 256]
+    (the prefixes are 203.0.0.0/24-203.0.255.0/24). *)
 
 val spec_of : t -> Topo.Spec.t
 val length : t -> int
@@ -59,15 +60,6 @@ val execute : t -> string list
     clean pass. Deterministic: the same schedule always returns the
     same result. *)
 
-type failure = {
-  schedule : t;
-  shrunk : t;
-  violations : string list;
-  reproduce : string;  (** the [sc_lab topo-check] command that replays it *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
 val run_matrix :
   ?routers:int ->
   ?n_prefixes:int ->
@@ -75,7 +67,6 @@ val run_matrix :
   ?progress:(int -> unit) ->
   seeds:int64 list ->
   unit ->
-  failure option
-(** Generates and executes one schedule per seed, stopping at the
-    first failure with its shrunken counterexample. [None] means every
+  t Harness.failure option
+(** {!Harness.run_matrix} over one schedule per seed. [None] means every
     schedule passed. *)

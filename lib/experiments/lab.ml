@@ -69,7 +69,10 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
     ?(import_local_pref = true) ?bfd_detect_mult ?bfd_tx_interval
     ?(controller : (unit -> C.t) C.tuning -> C.t = fun create -> create ()) ?r1
     ~n_peers ~replicas () =
-  if n_peers < 1 then invalid_arg "Lab.create: n_peers";
+  if n_peers < 1 || n_peers > 98 then
+    invalid_arg
+      (Fmt.str "Lab.create: n_peers must be between 1 and 98 (10.0.0.100 is the \
+                first controller's address), got %d" n_peers);
   if replicas < 0 then invalid_arg "Lab.create: replicas";
   let bgp_channel = bgp_channel ?bgp_wire engine in
   let switch =

@@ -64,7 +64,8 @@ val create :
   replicas:int ->
   unit ->
   t
-(** Builds the lab; nothing runs until {!start}. [of_codec] (default
+(** Builds the lab; nothing runs until {!start}. The address plan caps
+    [n_peers] at 98. [of_codec] (default
     [false]) and [of_faults] apply to every replica's OpenFlow path,
     [bgp_wire] to every BGP channel (see {!bgp_channel}).
     [import_local_pref] (default [true]) applies {!local_pref_of_peer}

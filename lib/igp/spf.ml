@@ -19,8 +19,8 @@ type table = {
 (* Process-wide count of Dijkstra runs. The regression tests use it to
    pin down the "one SPF per database change" contract: querying a
    node's distances must not re-run the algorithm. Atomic so per-router
-   SPF recomputation can move onto separate domains (ROADMAP item 4)
-   without the counter racing; everything else SPF produces lives in
+   SPF recomputation can move onto separate domains (the multicore
+   runway) without the counter racing; everything else SPF produces lives in
    the per-run [table]. *)
 let computed = Atomic.make 0
 let computations () = Atomic.get computed

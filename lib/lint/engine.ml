@@ -12,10 +12,9 @@ let parse_error_diag ~file exn =
 
 (* A parse failure still yields facts — empty ones carrying the
    diagnostic — so the index stays total over the file list. *)
-let failed_facts ~file ~digest ~library exn =
+let failed_facts ~file ~library exn =
   {
     Index.ff_file = file;
-    ff_digest = digest;
     ff_module = Index.module_name ~library file;
     ff_library = library;
     ff_diags = [parse_error_diag ~file exn];
@@ -27,25 +26,22 @@ let failed_facts ~file ~digest ~library exn =
 (* Each file is parsed exactly once; [Index.extract] runs the per-file
    rules and the fact extraction over that one AST. *)
 let facts_of_source ~file src =
-  let digest = Digest.to_hex (Digest.string src) in
   let library = Index.library_name ~root:"." file in
   let lexbuf = Lexing.from_string src in
   Lexing.set_filename lexbuf file;
   match Parse.implementation lexbuf with
-  | structure -> Index.extract ~file ~digest ~library structure
-  | exception exn -> failed_facts ~file ~digest ~library exn
+  | structure -> Index.extract ~file ~library structure
+  | exception exn -> failed_facts ~file ~library exn
 
 let facts_of_file ~root path =
   let full = Filename.concat root path in
-  let digest = Digest.to_hex (Digest.file full) in
   let library = Index.library_name ~root path in
   match Pparse.parse_implementation ~tool_name:"sc_lint" full with
-  | structure -> Index.extract ~file:path ~digest ~library structure
-  | exception exn -> failed_facts ~file:path ~digest ~library exn
+  | structure -> Index.extract ~file:path ~library structure
+  | exception exn -> failed_facts ~file:path ~library exn
 
 type report = {
   files : int;
-  cache_hits : int;
   diagnostics : Diagnostic.t list;
   index : Index.t;
 }
@@ -68,7 +64,7 @@ let selected ?only ?(except = []) rule =
   || ((match only with None -> true | Some rs -> List.mem rule rs)
      && not (List.mem rule except))
 
-let assemble ?only ?except ~cache_hits facts =
+let assemble ?only ?except facts =
   let index = Index.build facts in
   let per_file = List.concat_map (fun ff -> ff.Index.ff_diags) index.Index.files in
   let whole_program = Passes.run ?only ?except index in
@@ -77,16 +73,16 @@ let assemble ?only ?except ~cache_hits facts =
     |> List.filter (fun d -> selected ?only ?except d.Diagnostic.rule)
     |> List.sort_uniq Diagnostic.compare
   in
-  { files = List.length facts; cache_hits; diagnostics; index }
+  { files = List.length facts; diagnostics; index }
 
 let lint_sources ?only ?except sources =
   let facts = List.map (fun (file, src) -> facts_of_source ~file src) sources in
-  assemble ?only ?except ~cache_hits:0 facts
+  assemble ?only ?except facts
 
 let lint_source ~file src = (lint_sources [(file, src)]).diagnostics
 
 let lint_file ?(root = ".") path =
-  (assemble ~cache_hits:0 [facts_of_file ~root path]).diagnostics
+  (assemble [facts_of_file ~root path]).diagnostics
 
 (* Deterministic recursive listing: relative paths, '/' separators,
    sorted at every level; _build and hidden entries skipped. *)
@@ -127,28 +123,9 @@ let missing_mli root files =
       else None)
     files
 
-let scan_tree ?(dirs = ["lib"; "bin"]) ?cache ?only ?except root =
+let scan_tree ?(dirs = ["lib"; "bin"]) ?only ?except root =
   let files = ml_files root dirs in
-  let store = match cache with Some p -> Cache.load p | None -> Cache.empty () in
-  let cache_hits = ref 0 in
-  let fresh = Cache.empty () in
-  let facts =
-    List.map
-      (fun f ->
-        let digest = Digest.to_hex (Digest.file (Filename.concat root f)) in
-        let ff =
-          match Cache.find store ~file:f ~digest with
-          | Some ff ->
-            incr cache_hits;
-            ff
-          | None -> facts_of_file ~root f
-        in
-        Cache.add fresh ff;
-        ff)
-      files
-  in
-  (match cache with Some p -> Cache.save p fresh | None -> ());
-  let r = assemble ?only ?except ~cache_hits:!cache_hits facts in
+  let r = assemble ?only ?except (List.map (facts_of_file ~root) files) in
   let mli =
     List.filter
       (fun d -> selected ?only ?except d.Diagnostic.rule)
@@ -162,9 +139,8 @@ let scan_tree ?(dirs = ["lib"; "bin"]) ?cache ?only ?except root =
 let to_json r =
   Obs.Json.Obj
     [
-      ("schema", Obs.Json.String "lint/v2");
+      ("schema", Obs.Json.String "lint/v3");
       ("files", Obs.Json.Int r.files);
-      ("cache_hits", Obs.Json.Int r.cache_hits);
       ("errors", Obs.Json.Int (errors r));
       ("warnings", Obs.Json.Int (warnings r));
       ("diagnostics", Obs.Json.List (List.map Diagnostic.to_json r.diagnostics));
@@ -172,5 +148,5 @@ let to_json r =
 
 let pp_report ppf r =
   List.iter (fun d -> Fmt.pf ppf "%a@." Diagnostic.pp d) r.diagnostics;
-  Fmt.pf ppf "%d files linted (%d cached): %d errors, %d warnings@." r.files
-    r.cache_hits (errors r) (warnings r)
+  Fmt.pf ppf "%d files linted: %d errors, %d warnings@." r.files (errors r)
+    (warnings r)

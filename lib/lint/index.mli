@@ -7,8 +7,7 @@
     value with its concurrency classification, ambient-nondeterminism
     sites, [[@lint.*]] annotations, and the per-file rule diagnostics
     themselves. [build] then assembles the files into one index that
-    {!Passes} walks without ever touching an AST — which is what lets
-    {!Cache} make warm re-runs near-instant.
+    {!Passes} walks without ever touching an AST.
 
     Annotation vocabulary (unknown or malformed [lint.*] attributes are
     themselves a [lint-annotation] error):
@@ -55,7 +54,6 @@ type allow = { al_rules : string list; al_from : int; al_to : int }
 
 type file_facts = {
   ff_file : string;
-  ff_digest : string;
   ff_module : string;
   ff_library : string;
   ff_diags : Diagnostic.t list;
@@ -83,7 +81,7 @@ val module_name : library:string -> string -> string
     library is the library root module itself. *)
 
 val extract :
-  file:string -> digest:string -> library:string -> Parsetree.structure -> file_facts
+  file:string -> library:string -> Parsetree.structure -> file_facts
 (** One pass over one parsed file: per-file rules (via {!Rules}),
     annotation validation, mutable-global classification, reference
     and nondeterminism collection, and the per-file half of the

@@ -1,6 +1,6 @@
 (* The three whole-program passes over {!Index.t}. These run after
-   every file's facts exist (cached or fresh) and are cheap: they walk
-   plain data, never ASTs, so a warm-cache re-run stays near-instant. *)
+   every file's facts exist and are cheap: they walk plain data, never
+   ASTs. *)
 
 let rule_shared = "no-shared-mutable-global"
 let rule_cross = "cross-domain-unsafe"

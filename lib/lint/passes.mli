@@ -4,8 +4,8 @@
       in [lib/] must be [Atomic], a [Mutex.t], [[@@lint.guarded_by]] a
       validated sibling mutex, or carry a justified
       [[@@lint.domain_local]]. Anything else is an error: it races the
-      moment ROADMAP item 4 puts checker schedules and BGP sessions on
-      separate domains.
+      moment the checker domain pool puts checker schedules, or BGP
+      sessions, on separate domains.
     - {b cross-domain-unsafe} — from each [[@@lint.domain_entry]]
       binding, walk the approximate call graph; flag any reachable
       unguarded mutable global or ambient-nondeterminism site, with the
@@ -17,8 +17,7 @@
       The per-file half (closures, tuple/record/variant construction,
       [List] combinators, formatting) runs in {!Index.extract}.
 
-    All passes walk plain facts, never ASTs, so they are cheap even
-    when every file was a cache hit. *)
+    All passes walk plain facts, never ASTs, so they are cheap. *)
 
 val rule_shared : string
 val rule_cross : string

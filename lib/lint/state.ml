@@ -1,7 +1,7 @@
 (* LINT_STATE.json: the committed, CI-diffed inventory of module-level
    mutable state in [lib/].
 
-   The file is the review gate for ROADMAP item 4: adding a shared
+   The file is the review gate for the multicore runway: adding a shared
    mutable global changes this file, the CI drift check fails, and the
    diff in review shows exactly which global appeared and under which
    discipline. Locations are deliberately omitted — moving a binding a

@@ -14,9 +14,9 @@ let create () =
    for components constructed without an explicit [?metrics] argument —
    today only [Supercharger.Provisioner.create]'s default — and every
    such component runs on the main simulation domain. Worker domains
-   (ROADMAP item 4) must be handed their own [create ()] registry and
-   have their snapshots merged after [Domain.join]; nothing hands
-   [default] across a spawn. *)
+   (the checker domain pool) must be handed their own [create ()]
+   registry and have their snapshots merged after [Domain.join];
+   nothing hands [default] across a spawn. *)
 let default = create ()
 [@@lint.domain_local
   "fallback registry for the main simulation domain only; worker domains get \

@@ -212,7 +212,95 @@ let resolve_tests =
         Alcotest.(check string) "no rule" "miss" (kind (mac "00:ff:00:00:00:04")));
   ]
 
+(* --- the shared driver on a toy checker ---------------------------------- *)
+
+(* Schedule [i] is [toy.(i)]; a schedule fails when it contains 3, with
+   a violation that names its length, so the report shows which
+   schedule was re-executed. *)
+let toy = [| [ 1; 2 ]; [ 4; 5; 6 ]; [ 1; 3; 5; 3; 7 ]; [ 3 ] |]
+
+let toy_execute l =
+  if List.mem 3 l then [ Fmt.str "3 among %d steps" (List.length l) ] else []
+
+let harness_tests =
+  [
+    Alcotest.test_case "stops at the first failure and shrinks it" `Quick (fun () ->
+        let progressed = ref [] and reproduced = ref [] in
+        let f =
+          Check.Harness.run_matrix ~schedules:(Array.length toy)
+            ~generate:(fun i -> toy.(i))
+            ~execute:toy_execute ~steps:Fun.id
+            ~with_steps:(fun _ steps -> steps)
+            ~reproduce:(fun i _ ->
+              reproduced := i :: !reproduced;
+              Fmt.str "toy %d" i)
+            ~progress:(fun i -> progressed := i :: !progressed)
+        in
+        let f = Option.get f in
+        Alcotest.(check (list int)) "progress once per index, up to the failure"
+          [ 0; 1; 2 ] (List.rev !progressed);
+        Alcotest.(check (list int)) "schedule" [ 1; 3; 5; 3; 7 ] f.schedule;
+        Alcotest.(check (list int)) "the Shrink.list minimum" [ 3 ] f.shrunk;
+        Alcotest.(check (list string)) "violations of the shrunk schedule"
+          [ "3 among 1 steps" ] f.violations;
+        Alcotest.(check (list int)) "reproduce gets the failing index" [ 2 ]
+          !reproduced;
+        Alcotest.(check string) "reproduce line" "toy 2" f.reproduce);
+    Alcotest.test_case "a clean matrix runs every schedule" `Quick (fun () ->
+        let progressed = ref 0 in
+        let r =
+          Check.Harness.run_matrix ~schedules:2
+            ~generate:(fun i -> toy.(i))
+            ~execute:toy_execute ~steps:Fun.id
+            ~with_steps:(fun _ steps -> steps)
+            ~reproduce:(fun _ _ -> Alcotest.fail "nothing to reproduce")
+            ~progress:(fun _ -> incr progressed)
+        in
+        Alcotest.(check bool) "no failure" true (Option.is_none r);
+        Alcotest.(check int) "two schedules" 2 !progressed);
+  ]
+
+(* --- size limits ---------------------------------------------------------- *)
+
+(* Each generator takes its largest size and rejects the next one with
+   a message that states the limit. *)
+let rejects ~limit f =
+  match f () with
+  | _ -> Alcotest.fail "accepted an out-of-range size"
+  | exception Invalid_argument msg ->
+    let limit = string_of_int limit in
+    let n = String.length limit in
+    let rec mentions i =
+      i + n <= String.length msg && (String.sub msg i n = limit || mentions (i + 1))
+    in
+    if not (mentions 0) then Alcotest.failf "%S does not state the limit %s" msg limit
+
+let bounds_tests =
+  [
+    Alcotest.test_case "Schedule.generate: at most 65536 prefixes" `Quick (fun () ->
+        ignore (Check.Schedule.generate ~seed:1L ~n_prefixes:65_536 ());
+        rejects ~limit:65_536 (fun () ->
+            Check.Schedule.generate ~seed:1L ~n_prefixes:65_537 ()));
+    Alcotest.test_case "Topo_run.generate: 1 to 256 prefixes" `Quick (fun () ->
+        ignore (Check.Topo_run.generate ~seed:1L ~n_prefixes:256 ());
+        rejects ~limit:256 (fun () -> Check.Topo_run.generate ~seed:1L ~n_prefixes:257 ());
+        rejects ~limit:256 (fun () -> Check.Topo_run.generate ~seed:1L ~n_prefixes:0 ()));
+    Alcotest.test_case "Ribscale: at most 51200 peers" `Quick (fun () ->
+        ignore (Check.Ribscale.generate ~seed:1L ~n_peers:51_200 ());
+        rejects ~limit:51_200 (fun () ->
+            Check.Ribscale.generate ~seed:1L ~n_peers:51_201 ());
+        rejects ~limit:51_200 (fun () ->
+            Check.Ribscale.run_matrix ~n_peers:100_000 ~entries:10 ~schedules:1
+              ~seed:1L ()));
+    Alcotest.test_case "Lab.create: at most 98 peers" `Quick (fun () ->
+        rejects ~limit:98 (fun () ->
+            Experiments.Lab.create (Sim.Engine.create ~seed:1L ()) ~n_peers:99
+              ~replicas:1 ()));
+  ]
+
 (* --- the harness end to end -------------------------------------------- *)
+
+let pp_failure = Check.Harness.pp_failure ~pp:Check.Schedule.pp ~length:Check.Schedule.length
 
 let run_tests =
   [
@@ -235,7 +323,7 @@ let run_tests =
             ~schedules:5 ()
         with
         | None -> ()
-        | Some f -> Alcotest.failf "checker found: %a" Check.Run.pp_failure f);
+        | Some f -> Alcotest.failf "checker found: %a" pp_failure f);
     Alcotest.test_case "the skipped-rewrite mutation is caught and shrunk" `Quick
       (fun () ->
         match Check.Run.run_matrix ~mutate:true ~seed:7L ~schedules:25 () with
@@ -292,10 +380,10 @@ let reproduce_tests =
         List.iter
           (fun seed ->
             let f = Option.get (Check.Run.run_matrix ~mutate:true ~seed ~schedules:25 ()) in
-            let fl = reproduce_flags (Fmt.str "%a" Check.Run.pp_failure f) in
+            let fl = reproduce_flags (Fmt.str "%a" pp_failure f) in
             let int name = int_of_string (List.assoc name fl) in
             same Check.Schedule.pp f.shrunk
-              (Option.map (fun g -> g.Check.Run.shrunk)
+              (Option.map (fun g -> g.Check.Harness.shrunk)
                  (Check.Run.run_matrix ~n_peers:(int "--peers") ~n_prefixes:(int "--prefixes")
                     ~events:(int "--events") ~chaos:(not (List.mem_assoc "--no-chaos" fl))
                     ~mutate:(List.mem_assoc "--mutate" fl)
@@ -310,10 +398,15 @@ let reproduce_tests =
                ~seed:23L ~schedules:6 ())
         in
         Alcotest.(check int64) "second schedule" 24L f.schedule.seed;
-        let fl = reproduce_flags (Fmt.str "%a" Check.Ribscale.pp_failure f) in
+        let fl =
+          reproduce_flags
+            (Fmt.str "%a"
+               (Check.Harness.pp_failure ~pp:Check.Ribscale.pp ~length:Check.Ribscale.length)
+               f)
+        in
         let int name = int_of_string (List.assoc name fl) in
         same Check.Ribscale.pp f.shrunk
-          (Option.map (fun g -> g.Check.Ribscale.shrunk)
+          (Option.map (fun g -> g.Check.Harness.shrunk)
              (Check.Ribscale.run_matrix ~n_peers:(int "--peers") ~length:(int "--events")
                 ~entries:(int "--entries") ~mutate:(List.mem_assoc "--mutate" fl)
                 ~seed:(Int64.of_string (List.assoc "--seed" fl))
@@ -325,6 +418,8 @@ let suite =
     ("check.oracle", oracle_tests);
     ("check.schedule", schedule_tests);
     ("check.resolve", resolve_tests);
+    ("check.harness", harness_tests);
+    ("check.bounds", bounds_tests);
     ("check.run", run_tests);
     ("check.reproduce", reproduce_tests);
   ]

@@ -277,12 +277,12 @@ let harness_tests =
         | None -> Alcotest.fail "the armed bug survived undetected"
         | Some f ->
           Alcotest.(check bool) "violations reported" true
-            (f.Check.Ribscale.violations <> []);
+            (f.Check.Harness.violations <> []);
           Alcotest.(check bool) "shrunk no longer than the original" true
-            (Check.Ribscale.length f.Check.Ribscale.shrunk
-            <= Check.Ribscale.length f.Check.Ribscale.schedule);
+            (Check.Ribscale.length f.Check.Harness.shrunk
+            <= Check.Ribscale.length f.Check.Harness.schedule);
           Alcotest.(check bool) "shrunk still fails" true
-            (Check.Ribscale.execute ~mutate:true ~entries f.Check.Ribscale.shrunk
+            (Check.Ribscale.execute ~mutate:true ~entries f.Check.Harness.shrunk
             <> []));
   ]
 

@@ -202,7 +202,10 @@ let checker_tests =
           Check.Topo_run.run_matrix ~seeds:[ 101L; 102L; 103L ] ()
         with
         | None -> ()
-        | Some f -> Alcotest.failf "%a" Check.Topo_run.pp_failure f);
+        | Some f ->
+          Alcotest.failf "%a"
+            (Check.Harness.pp_failure ~pp:Check.Topo_run.pp ~length:Check.Topo_run.length)
+            f);
   ]
 
 let deployment_tests =
