@@ -2,6 +2,18 @@ type side = A | B
 
 let flip = function A -> B | B -> A
 
+(* The channel's most recent delivery event and the messages it will
+   deliver to [to_side] at [at]. Only the engine's latest event can take
+   more work, so one per channel is enough. *)
+type newest =
+  | No_batch
+  | Batch of {
+      at : Sim.Time.t;
+      to_side : side;
+      handle : Sim.Engine.handle;
+      queue : Message.t Queue.t;
+    }
+
 type t = {
   engine : Sim.Engine.t;
   name : string;
@@ -22,6 +34,7 @@ type t = {
      stream must not reorder, so fault delays only stretch it. *)
   mutable fifo_floor_a : Sim.Time.t;
   mutable fifo_floor_b : Sim.Time.t;
+  mutable newest : newest;  (* unfragmented path only *)
 }
 
 let create engine ?(name = "chan") ?(delay = Sim.Time.of_us 200)
@@ -49,6 +62,7 @@ let create engine ?(name = "chan") ?(delay = Sim.Time.of_us 200)
     faults = None;
     fifo_floor_a = Sim.Time.zero;
     fifo_floor_b = Sim.Time.zero;
+    newest = No_batch;
   }
 
 let name t = t.name
@@ -137,30 +151,54 @@ let send_fragmented t from msg size =
     cut 0
   | Sim.Faults.Deliver [] -> ()
 
+(* The broken and epoch checks stay per message, so a break by the
+   receiver of one message still loses the rest of its batch. A batch
+   that has started can take no more messages; dropping it from
+   [newest] keeps the channel from holding on to it. *)
+let deliver_batch t to_side epoch queue =
+  (match t.newest with
+  | Batch b when b.queue == queue -> t.newest <- No_batch
+  | Batch _ | No_batch -> ());
+  while not (Queue.is_empty queue) do
+    let msg = Queue.take queue in
+    if (not t.broken) && t.epoch = epoch then
+      match receiver t to_side with
+      | Some f ->
+        t.delivered <- t.delivered + 1;
+        f msg
+      | None -> ()
+  done
+
+(* Joins the newest batch when it goes to the same side at the same
+   instant and is still the engine's latest event: the message then runs
+   exactly where an event of its own would (see [Sim.Engine]'s "Joining
+   an event"). Otherwise opens a new batch. *)
+let enqueue t to_side delay msg =
+  let at = Sim.Time.add (Sim.Engine.now t.engine) delay in
+  match t.newest with
+  | Batch b
+    when b.to_side = to_side && Sim.Time.equal b.at at
+         && Sim.Engine.is_latest t.engine b.handle ->
+    Queue.add msg b.queue
+  | Batch _ | No_batch ->
+    let queue = Queue.create () in
+    Queue.add msg queue;
+    let epoch = t.epoch in
+    let handle =
+      Sim.Engine.schedule_after t.engine delay (fun () -> deliver_batch t to_side epoch queue)
+    in
+    t.newest <- Batch { at; to_side; handle; queue }
+
 let send t from msg =
   if not t.broken then
     match t.fragment with
     | Some size -> send_fragmented t from msg size
     | None -> (
       let msg = through_codec t msg in
-      let epoch_at_send = t.epoch in
-      let deliver () =
-        if (not t.broken) && t.epoch = epoch_at_send then
-          match receiver t (flip from) with
-          | Some f ->
-            t.delivered <- t.delivered + 1;
-            f msg
-          | None -> ()
-      in
       match plan_faults t with
       | Sim.Faults.Drop -> ()
       | Sim.Faults.Deliver extras ->
-        List.iter
-          (fun extra ->
-            ignore
-              (Sim.Engine.schedule_after t.engine (Sim.Time.add t.delay extra)
-                 deliver))
-          extras)
+        List.iter (fun extra -> enqueue t (flip from) (Sim.Time.add t.delay extra) msg) extras)
 
 let break t =
   if not t.broken then begin

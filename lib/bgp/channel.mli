@@ -5,7 +5,17 @@
     until the channel is broken. With [use_codec:true] every message is
     round-tripped through the RFC 4271 binary codec in transit, so the
     wire format is exercised end-to-end (the integration tests run this
-    way). *)
+    way).
+
+    Messages due at one side at one instant share one engine event
+    (without [fragment]): a send joins the channel's newest batch when
+    that batch goes to the same side at the same instant and is still
+    the engine's latest event ({!Sim.Engine.is_latest}), which runs the
+    message exactly where an event of its own would have run. Delivery
+    order, {!messages_delivered} and every fault decision are those of
+    one event per message; only the engine's counts change, so
+    {!Sim.Engine.pending} and {!Sim.Engine.events_processed} count
+    batches, not messages. *)
 
 type side = A | B
 

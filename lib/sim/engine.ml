@@ -13,11 +13,16 @@ type t = {
   trace : Trace.t;
   metrics : Obs.Metrics.t;
   mutable processed : int;
+  mutable latest : event;
+      (* The most recently scheduled event until it is popped, else
+         [no_event]. *)
+  no_event : event;  (* never queued, never returned *)
 }
 
 let create ?(seed = 1L) ?trace ?metrics () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let no_event = { at = Time.zero; run = ignore; cancelled = true } in
   {
     clock = Time.zero;
     queue = Heap.create ~cmp:(fun a b -> Time.compare a.at b.at) ();
@@ -25,6 +30,8 @@ let create ?(seed = 1L) ?trace ?metrics () =
     trace;
     metrics;
     processed = 0;
+    latest = no_event;
+    no_event;
   }
 
 let now t = t.clock
@@ -36,6 +43,7 @@ let schedule_at t instant f =
   let at = Time.max instant t.clock in
   let ev = { at; run = f; cancelled = false } in
   Heap.push t.queue ev;
+  t.latest <- ev;
   ev
 
 let schedule_after t delay f =
@@ -44,6 +52,8 @@ let schedule_after t delay f =
 
 let cancel ev =
   ev.cancelled <- true
+
+let is_latest t ev = ev == t.latest && not ev.cancelled
 
 let every t ?start ~interval f =
   if Time.(interval <= Time.zero) then invalid_arg "Engine.every: interval must be positive";
@@ -64,6 +74,7 @@ let every t ?start ~interval f =
   task
 
 let run_event t ev =
+  if ev == t.latest then t.latest <- t.no_event;
   if not ev.cancelled then begin
     t.clock <- Time.max t.clock ev.at;
     t.processed <- t.processed + 1;

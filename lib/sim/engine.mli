@@ -4,7 +4,20 @@
     for the same instant run in scheduling (FIFO) order, which makes every
     simulation deterministic given its seed — the property the paper's
     controller-replication argument (§3) depends on, and which the
-    [Supercharger.Replica] tests exercise. *)
+    [Supercharger.Replica] tests exercise.
+
+    {b Joining an event.} An event whose closure drains a queue its
+    caller owns (as [Bgp.Channel]'s deliveries do) can take on more
+    work at its own instant instead of a new event being scheduled, as
+    long as {!is_latest} holds for its handle. The order is exactly the
+    one a new event at that instant would give: the new event would
+    take the next place in the FIFO order, right behind the handle's,
+    with nothing queued between them; anything scheduled later,
+    including by the handle's own event while it runs, goes behind
+    both; and the handle's event has not started, so it has not yet
+    read its queue. Only the count changes: the joined work runs inside
+    one event, so {!events_processed}, {!pending}, [max_events] and
+    {!step} see one event, not two. *)
 
 type t
 
@@ -43,6 +56,13 @@ val schedule_after : t -> Time.t -> (unit -> unit) -> handle
 val cancel : handle -> unit
 (** Cancelling a queued event removes it from {!pending} at once.
     Cancelling an already-run or already-cancelled event is a no-op. *)
+
+val is_latest : t -> handle -> bool
+(** [is_latest t h] holds while [h] is the most recently scheduled
+    event of [t] (no {!schedule_at}, {!schedule_after}, {!every} call
+    or periodic re-arm since), has not started running and is not
+    cancelled. See
+    {e Joining an event} above. O(1). *)
 
 val every : t -> ?start:Time.t -> interval:Time.t -> (unit -> unit) -> handle
 (** [every t ~interval f] runs [f] at [start] (default [now + interval])

@@ -653,6 +653,265 @@ let channel_tests =
         | None -> Alcotest.fail "not delivered");
   ]
 
+(* A channel that schedules one engine event per message copy: the
+   reference the differential property below holds [Channel] to. *)
+module Per_message_channel = struct
+  type t = {
+    engine : Sim.Engine.t;
+    delay : Sim.Time.t;
+    faults : Sim.Faults.t option;
+    recv : Channel.side -> Message.t -> unit;
+    on_break : Channel.side -> unit;
+    mutable broken : bool;
+    mutable epoch : int;
+    mutable delivered : int;
+  }
+
+  let create engine ~delay ~faults ~recv ~on_break =
+    { engine; delay; faults; recv; on_break; broken = false; epoch = 0; delivered = 0 }
+
+  let send t from msg =
+    if not t.broken then begin
+      let epoch_at_send = t.epoch in
+      let deliver () =
+        if (not t.broken) && t.epoch = epoch_at_send then begin
+          t.delivered <- t.delivered + 1;
+          t.recv (Channel.flip from) msg
+        end
+      in
+      let verdict =
+        match t.faults with
+        | None -> Sim.Faults.Deliver [Sim.Time.zero]
+        | Some f -> Sim.Faults.plan f
+      in
+      match verdict with
+      | Sim.Faults.Drop -> ()
+      | Sim.Faults.Deliver extras ->
+        List.iter
+          (fun extra ->
+            ignore (Sim.Engine.schedule_after t.engine (Sim.Time.add t.delay extra) deliver))
+          extras
+    end
+
+  let break t =
+    if not t.broken then begin
+      t.broken <- true;
+      t.epoch <- t.epoch + 1;
+      List.iter
+        (fun side ->
+          ignore (Sim.Engine.schedule_after t.engine t.delay (fun () -> t.on_break side)))
+        [Channel.A; Channel.B]
+    end
+end
+
+(* What one run of a scenario drives: [n] channels, by index. *)
+type channels = {
+  send : int -> Channel.side -> Message.t -> unit;
+  break : int -> unit;
+  delivered : int -> int;
+}
+
+type action =
+  | Send of { chan : int; from : Channel.side; count : int }
+  | Unrelated of int  (** an event this many grid steps ahead *)
+  | Break of int
+
+(* Each step runs as an engine event at [slot] grid steps. The grid is
+   half the channel delay, and delayed copies land on it too, so
+   deliveries, sends and unrelated events keep colliding.
+   [break_on_delivery] breaks a channel from inside the n-th delivery,
+   so a break can also land in the middle of a batch. *)
+type scenario = {
+  n_chans : int;
+  steps : (int * action list) list;
+  break_on_delivery : (int * int) option;
+}
+
+let grid = Sim.Time.of_us 50
+let batch_delay = Sim.Time.of_us 100
+
+let pp_side ppf side = Fmt.string ppf (match side with Channel.A -> "A" | Channel.B -> "B")
+
+let pp_action ppf = function
+  | Send { chan; from; count } -> Fmt.pf ppf "send c%d %a x%d" chan pp_side from count
+  | Unrelated d -> Fmt.pf ppf "unrelated +%d" d
+  | Break c -> Fmt.pf ppf "break c%d" c
+
+let pp_scenario ppf sc =
+  Fmt.pf ppf "%d channels: %a%a" sc.n_chans
+    Fmt.(list ~sep:semi (pair ~sep:(any "@@") int (brackets (list ~sep:comma pp_action))))
+    sc.steps
+    Fmt.(option (fun ppf (n, c) -> pf ppf "; break c%d at delivery %d" c n))
+    sc.break_on_delivery
+
+let gen_scenario ~with_break =
+  let open QCheck.Gen in
+  let* n_chans = 2 -- 3 in
+  let side = oneofl [Channel.A; Channel.B] in
+  let action =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun chan from count -> Send { chan; from; count })
+            (0 -- (n_chans - 1)) side (1 -- 4) );
+        (2, map (fun d -> Unrelated d) (0 -- 3));
+      ]
+  in
+  let* steps = list_size (1 -- 20) (pair (0 -- 8) (list_size (1 -- 5) action)) in
+  let* chan = 0 -- (n_chans - 1) in
+  let in_step =
+    let+ at = 0 -- (List.length steps - 1) in
+    let steps =
+      List.mapi
+        (fun i (slot, actions) ->
+          if i = at then (slot, actions @ [Break chan]) else (slot, actions))
+        steps
+    in
+    { n_chans; steps; break_on_delivery = None }
+  in
+  let in_delivery =
+    let+ n = 1 -- 40 in
+    { n_chans; steps; break_on_delivery = Some (n, chan) }
+  in
+  if with_break then oneof [in_step; in_delivery]
+  else return { n_chans; steps; break_on_delivery = None }
+
+let message_of_id id = Message.withdraw [Net.Prefix.make (Net.Ipv4.of_int (id lsl 8)) 24]
+
+let id_of_message = function
+  | Message.Update { withdrawn = [p]; _ } -> Net.Ipv4.to_int (Net.Prefix.network p) lsr 8
+  | _ -> -1
+
+(* Runs [sc] over channels built by [make] and returns the delivery log,
+   each channel's [delivered] count and the engine's event count. Every
+   fifth original message is echoed back by its receiver, so sends also
+   happen from inside a delivery. *)
+let run_scenario ~faults sc make =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note fmt =
+    Fmt.kstr (fun s -> log := Fmt.str "%a %s" Sim.Time.pp (Sim.Engine.now e) s :: !log) fmt
+  in
+  let chans = ref None and deliveries = ref 0 in
+  let recv c side msg =
+    let id = id_of_message msg in
+    note "c%d %a got %d" c pp_side side id;
+    incr deliveries;
+    Option.iter
+      (fun ch ->
+        if id mod 5 = 0 && id < 10_000 then ch.send c side (message_of_id (id + 10_000));
+        match sc.break_on_delivery with
+        | Some (n, c) when n = !deliveries -> ch.break c
+        | Some _ | None -> ())
+      !chans
+  in
+  let on_break c side = note "c%d %a broken" c pp_side side in
+  let fault c =
+    Option.map
+      (fun p -> Sim.Faults.create e ~name:(Fmt.str "c%d" c) ~seed:(Int64.of_int (c + 7)) p)
+      faults
+  in
+  let ch = make e ~n:sc.n_chans ~fault ~recv ~on_break in
+  chans := Some ch;
+  let next_id = ref 0 and next_unrelated = ref 0 in
+  let act = function
+    | Send { chan; from; count } ->
+      for _ = 1 to count do
+        ch.send chan from (message_of_id !next_id);
+        incr next_id
+      done
+    | Unrelated d ->
+      let id = !next_unrelated in
+      incr next_unrelated;
+      ignore
+        (Sim.Engine.schedule_after e (Sim.Time.mul grid d) (fun () -> note "unrelated %d" id))
+    | Break c -> ch.break c
+  in
+  List.iter
+    (fun (slot, actions) ->
+      ignore (Sim.Engine.schedule_at e (Sim.Time.mul grid slot) (fun () -> List.iter act actions)))
+    sc.steps;
+  Sim.Engine.run e;
+  (List.rev !log, List.init sc.n_chans ch.delivered, Sim.Engine.events_processed e)
+
+let batched_channels e ~n ~fault ~recv ~on_break =
+  let chans =
+    Array.init n (fun c ->
+        let ch = Channel.create e ~delay:batch_delay () in
+        Option.iter (Channel.set_faults ch) (fault c);
+        List.iter
+          (fun side ->
+            Channel.attach ch side (recv c side);
+            Channel.on_break ch side (fun () -> on_break c side))
+          [Channel.A; Channel.B];
+        ch)
+  in
+  {
+    send = (fun c from msg -> Channel.send chans.(c) from msg);
+    break = (fun c -> Channel.break chans.(c));
+    delivered = (fun c -> Channel.messages_delivered chans.(c));
+  }
+
+let per_message_channels e ~n ~fault ~recv ~on_break =
+  let chans =
+    Array.init n (fun c ->
+        Per_message_channel.create e ~delay:batch_delay ~faults:(fault c) ~recv:(recv c)
+          ~on_break:(on_break c))
+  in
+  {
+    send = (fun c from msg -> Per_message_channel.send chans.(c) from msg);
+    break = (fun c -> Per_message_channel.break chans.(c));
+    delivered = (fun c -> chans.(c).Per_message_channel.delivered);
+  }
+
+let grid_faults =
+  Sim.Faults.profile ~drop:0.15 ~duplicate:0.3 ~delay_prob:0.3 ~delay_min:grid ~delay_max:grid
+    "grid"
+
+let channel_batching_tests =
+  let agrees ~with_break =
+    Test_seed.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           (Fmt.str "batched deliveries match one event per message%s"
+              (if with_break then ", with a break" else ""))
+         ~count:300
+         (QCheck.make ~print:(Fmt.to_to_string pp_scenario) (gen_scenario ~with_break))
+         (fun sc ->
+           List.for_all
+             (fun faults ->
+               let log, delivered, events = run_scenario ~faults sc batched_channels in
+               let ref_log, ref_delivered, ref_events =
+                 run_scenario ~faults sc per_message_channels
+               in
+               if log <> ref_log || delivered <> ref_delivered || events > ref_events then
+                 QCheck.Test.fail_reportf "faults=%b@.batched:@.%a@.reference:@.%a"
+                   (Option.is_some faults)
+                   Fmt.(vbox (list ~sep:cut string)) log
+                   Fmt.(vbox (list ~sep:cut string)) ref_log
+               else true)
+             [None; Some grid_faults]))
+  in
+  [
+    Alcotest.test_case "500 same-instant sends are one event, in send order" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let ch = Channel.create e () in
+        let got = ref [] in
+        Channel.attach ch Channel.B (fun m -> got := id_of_message m :: !got);
+        for id = 0 to 499 do
+          Channel.send ch Channel.A (message_of_id id)
+        done;
+        Alcotest.(check int) "one event queued" 1 (Sim.Engine.pending e);
+        Sim.Engine.run e;
+        Alcotest.(check int) "one event run" 1 (Sim.Engine.events_processed e);
+        Alcotest.(check (list int)) "send order" (List.init 500 Fun.id) (List.rev !got);
+        Alcotest.(check int) "every message counted" 500 (Channel.messages_delivered ch));
+    agrees ~with_break:false;
+    agrees ~with_break:true;
+  ]
+
 let make_session_pair ?(hold_a = 90) ?(hold_b = 90) ?fragment () =
   let e = Sim.Engine.create () in
   let ch = Channel.create e ~use_codec:true ?fragment () in
@@ -854,6 +1113,7 @@ let suite =
     ("bgp.rib", rib_tests);
     ("bgp.rib_indexed", indexed_equivalence_tests);
     ("bgp.channel", channel_tests);
+    ("bgp.channel_batching", channel_batching_tests);
     ("bgp.session", session_tests);
     ("bgp.session_over_bytes", fragmented_session_tests);
     ("bgp.speaker", speaker_tests);

@@ -310,7 +310,7 @@ let golden_tests =
   in
   [
     Alcotest.test_case "plain lab at 2,000 prefixes, seed 42" `Slow (fun () ->
-        check_run Experiments.Topology.Plain ~events:37206 ~fib_writes:4000
+        check_run Experiments.Topology.Plain ~events:33214 ~fib_writes:4000
           ~convergence_ns:
             [
             392_560_000; 954_310_000; 942_760_000; 784_840_000; 503_020_000; 895_300_000;
@@ -334,7 +334,7 @@ let golden_tests =
     Alcotest.test_case "supercharged lab at 2,000 prefixes, seed 42" `Slow (fun () ->
         check_run
           (Experiments.Topology.Supercharged { replicas = 1 })
-          ~events:45160 ~fib_writes:5799
+          ~events:35178 ~fib_writes:5799
           ~convergence_ns:(List.init 100 (fun _ -> 116_130_000)));
   ]
 

@@ -237,6 +237,37 @@ let engine_tests =
         Sim.Engine.run e;
         Alcotest.(check (list string)) "nested" ["outer"; "inner"] (List.rev !log);
         Alcotest.(check int) "processed" 2 (Sim.Engine.events_processed e));
+    Alcotest.test_case "is_latest holds for the newest event until it starts" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let first = Sim.Engine.schedule_at e (Sim.Time.of_ms 1) ignore in
+        Alcotest.(check bool) "just scheduled" true (Sim.Engine.is_latest e first);
+        let during = ref None and self = ref first in
+        let second =
+          Sim.Engine.schedule_at e (Sim.Time.of_ms 1) (fun () ->
+              during := Some (Sim.Engine.is_latest e !self))
+        in
+        self := second;
+        Alcotest.(check bool) "a later schedule_at takes over" false
+          (Sim.Engine.is_latest e first);
+        Alcotest.(check bool) "the later one is latest" true (Sim.Engine.is_latest e second);
+        Sim.Engine.run e;
+        Alcotest.(check (option bool)) "false once running" (Some false) !during;
+        Alcotest.(check bool) "false after running" false (Sim.Engine.is_latest e second);
+        let cancelled = Sim.Engine.schedule_after e (Sim.Time.of_ms 1) ignore in
+        Sim.Engine.cancel cancelled;
+        Alcotest.(check bool) "false once cancelled" false (Sim.Engine.is_latest e cancelled));
+    Alcotest.test_case "an every re-arm ends is_latest" `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        let task = Sim.Engine.every e ~interval:(Sim.Time.of_ms 1) ignore in
+        Alcotest.(check bool) "the task handle is never queued" false
+          (Sim.Engine.is_latest e task);
+        let later = Sim.Engine.schedule_at e (Sim.Time.of_ms 5) ignore in
+        Alcotest.(check bool) "latest before the tick" true (Sim.Engine.is_latest e later);
+        Sim.Engine.run ~until:(Sim.Time.of_ms 1) e;
+        Alcotest.(check bool) "the tick's re-arm takes over" false
+          (Sim.Engine.is_latest e later);
+        Sim.Engine.cancel task);
     Alcotest.test_case "pending counts live events" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let h = Sim.Engine.schedule_after e (Sim.Time.of_ms 1) (fun () -> ()) in
