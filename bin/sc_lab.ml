@@ -269,41 +269,22 @@ let ablations_cmd =
           controllers, and backup-groups of three under a double failure.")
     Term.(const run $ const ())
 
-(* The checkers' shared verdict. A counterexample fails the run unless
-   --mutate armed a bug on purpose: then catching and shrinking it is the
-   pass, and a clean matrix is the failure. *)
-let verdict ~mutate ~pp ~length ~schedules ~passed run =
+(* The checkers' shared verdict: a clean matrix passes, a counterexample
+   fails. *)
+let verdict ~pp ~length ~passed run =
   let t0 = Sys.time () in
   let result = run () in
   let dt = Sys.time () -. t0 in
-  let pp_failure = Check.Harness.pp_failure ~pp ~length in
-  match result, mutate with
-  | None, false ->
+  match result with
+  | None ->
     Fmt.pr "PASS: %s (%.1fs)@." passed dt;
     exit 0
-  | Some f, true ->
-    Fmt.pr "PASS (%.1fs): mutation caught and shrunk to %d events@.%a" dt
-      (length f.Check.Harness.shrunk) pp_failure f;
-    exit 0
-  | None, true ->
-    Fmt.pr "FAIL: the armed mutation survived %d schedules undetected (%.1fs)@."
-      schedules dt;
-    exit 1
-  | Some f, false ->
-    Fmt.pr "FAIL (%.1fs):@.%a" dt pp_failure f;
+  | Some f ->
+    Fmt.pr "FAIL (%.1fs):@.%a" dt (Check.Harness.pp_failure ~pp ~length) f;
     exit 1
 
 let events_arg default =
   Arg.(value & opt pos_int default & info ["events"] ~docv:"N" ~doc:"Events per schedule.")
-
-let mutate_arg bug =
-  Arg.(
-    value & flag
-    & info ["mutate"]
-        ~doc:
-          (bug
-          ^ "; the checker is expected to find and shrink a counterexample, and \
-             the exit status is inverted accordingly."))
 
 let check_cmd =
   let schedules_arg =
@@ -324,16 +305,15 @@ let check_cmd =
       & info ["no-chaos"]
           ~doc:"Disable fault-window events (blackouts, loss, duplicates).")
   in
-  let run schedules events n_peers n_prefixes no_chaos mutate seed =
+  let run schedules events n_peers n_prefixes no_chaos seed =
     input_checked ~flags:["--peers"; "--prefixes"] @@ fun () ->
-    Fmt.pr "check: %d schedules x %d events, %d peers, %d prefixes, seed=%Ld%s%s@."
+    Fmt.pr "check: %d schedules x %d events, %d peers, %d prefixes, seed=%Ld%s@."
       schedules events n_peers n_prefixes seed
-      (if no_chaos then ", chaos off" else "")
-      (if mutate then ", MUTATED (skip one failover rewrite)" else "");
-    verdict ~mutate ~pp:Check.Schedule.pp ~length:Check.Schedule.length ~schedules
+      (if no_chaos then ", chaos off" else "");
+    verdict ~pp:Check.Schedule.pp ~length:Check.Schedule.length
       ~passed:(Fmt.str "%d schedules, zero invariant violations" schedules)
     @@ fun () ->
-    Check.Run.run_matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos) ~mutate
+    Check.Run.run_matrix ~n_peers ~n_prefixes ~events ~chaos:(not no_chaos)
       ~progress:(fun i ->
         if i mod 25 = 0 && i > 0 then Fmt.epr "  ... %d/%d clean@." i schedules)
       ~seed ~schedules ()
@@ -345,9 +325,7 @@ let check_cmd =
     Term.(
       ret
         (const run $ schedules_arg $ events_arg 30 $ check_peers_arg
-        $ check_prefixes_arg $ no_chaos_arg
-        $ mutate_arg "Arm the deliberate Listing 2 bug (one skipped failover rewrite)"
-        $ seed_arg))
+        $ check_prefixes_arg $ no_chaos_arg $ seed_arg))
 
 let topo_check_cmd =
   let seeds_arg =
@@ -370,8 +348,7 @@ let topo_check_cmd =
       schedules events routers n_prefixes
       Fmt.(list ~sep:comma int64)
       seeds;
-    verdict ~mutate:false ~pp:Check.Topo_run.pp ~length:Check.Topo_run.length
-      ~schedules
+    verdict ~pp:Check.Topo_run.pp ~length:Check.Topo_run.length
       ~passed:(Fmt.str "%d multi-node schedules, zero invariant violations" schedules)
     @@ fun () ->
     Check.Topo_run.run_matrix ~routers ~n_prefixes ~events
@@ -402,19 +379,18 @@ let ribscale_check_cmd =
       value & opt pos_int 60_000
       & info ["entries"] ~docv:"N" ~doc:"Internet-shape table size.")
   in
-  let run schedules events peers entries mutate seed =
+  let run schedules events peers entries seed =
     input_checked ~flags:["--peers"; "--entries"] @@ fun () ->
     Fmt.pr
       "ribscale-check: %d schedules x %d events, %d peers, %d-prefix internet \
-       table, seed=%Ld%s@."
-      schedules events peers entries seed
-      (if mutate then ", MUTATED (stale-route bug armed)" else "");
-    verdict ~mutate ~pp:Check.Ribscale.pp ~length:Check.Ribscale.length ~schedules
+       table, seed=%Ld@."
+      schedules events peers entries seed;
+    verdict ~pp:Check.Ribscale.pp ~length:Check.Ribscale.length
       ~passed:
         (Fmt.str "incremental RIB matched the naive decision process on %d schedules"
            schedules)
     @@ fun () ->
-    Check.Ribscale.run_matrix ~n_peers:peers ~length:events ~entries ~mutate
+    Check.Ribscale.run_matrix ~n_peers:peers ~length:events ~entries
       ~progress:(fun i -> Fmt.epr "  schedule %d/%d...@." (i + 1) schedules)
       ~seed ~schedules ()
   in
@@ -428,9 +404,6 @@ let ribscale_check_cmd =
     Term.(
       ret
         (const run $ schedules_arg $ events_arg 10 $ rs_peers_arg $ entries_arg
-        $ mutate_arg
-            "Plant the deliberate stale-route bug (every 7th withdrawal never \
-             reaches the optimised RIB)"
         $ seed_arg))
 
 let deployment_cmd =
@@ -467,7 +440,7 @@ let deployment_cmd =
           ~doc:"Also write the rows as JSON (schema bench/v1).")
   in
   let run routers n_prefixes seeds coverage csv json =
-    input_checked ~flags:["--routers"; "--prefixes"] @@ fun () ->
+    input_checked ~flags:["--routers"; "--prefixes"; "--coverage"] @@ fun () ->
     let rows =
       Experiments.Deployment.run ~routers ~n_prefixes ?coverage ~seeds
         ~progress:(fun m -> Fmt.epr "  %s@." m)

@@ -82,7 +82,7 @@ let check_rules_registered s =
 
 (* Forward declaration dance: [transient] folds in the settled-rules
    check whenever the controller reports quiescence, so a rule left
-   pointing at a dead peer (the Listing 2 mutation) is caught at the
+   pointing at a dead peer (a skipped Listing 2 rewrite) is caught at the
    first post-failover instant, before the linger GC can erase the
    evidence. While barriers are pending the table legitimately lags the
    controller's intent and the check stays off. *)

@@ -108,8 +108,6 @@ type state = {
   rib : Bgp.Rib.t;
   oracle : Oracle.t;
   down : bool array;
-  mutate : bool;
-  mutable withdraws : int;  (* total withdrawals processed, for [mutate] *)
 }
 
 let peer_ip i = Net.Ipv4.of_octets 10 9 (i / 200) (1 + (i mod 200))
@@ -137,11 +135,7 @@ let announce_both st ~peer (e : Workloads.Rib_gen.entry) =
 
 let withdraw_both st ~peer (e : Workloads.Rib_gen.entry) =
   Oracle.withdraw st.oracle ~peer e.prefix;
-  let skip_rib = st.mutate && st.withdraws mod 7 = 0 in
-  st.withdraws <- st.withdraws + 1;
-  (* [mutate] plants a stale-route bug on the optimised side only: every
-     7th withdrawal never reaches the RIB. The checker must catch it. *)
-  if not skip_rib then ignore (Bgp.Rib.withdraw st.rib e.prefix ~peer_id:peer)
+  ignore (Bgp.Rib.withdraw st.rib e.prefix ~peer_id:peer)
 
 (* Walk the peer's exported view in table order; [f] also gets the
    entry's rank within the view (used for storm slicing). *)
@@ -234,7 +228,7 @@ let equivalent st =
 let[@lint.domain_entry
      "ribscale schedule runner: candidate for one-schedule-per-domain fan-out; \
       each run builds its own RIB, oracle and rng from the schedule seed"] execute
-    ?(mutate = false) ~entries (t : t) =
+    ~entries (t : t) =
   if Array.length entries = 0 then invalid_arg "Ribscale.execute: entries";
   let st =
     {
@@ -243,8 +237,6 @@ let[@lint.domain_entry
       rib = Bgp.Rib.create ();
       oracle = Oracle.create ();
       down = Array.make t.n_peers false;
-      mutate;
-      withdraws = 0;
     }
   in
   for i = 0 to t.n_peers - 1 do
@@ -276,15 +268,15 @@ let[@lint.domain_entry
 
 (* --- matrix driver ----------------------------------------------------- *)
 
-let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = false)
-    ?(progress = ignore) ~seed ~schedules () =
+let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(progress = ignore)
+    ~seed ~schedules () =
   if schedules < 1 then invalid_arg "Ribscale.run_matrix: schedules";
   check_peers n_peers;
   (* One table for the whole matrix: generation at internet shape is
      pure in the seed, so sharing it changes nothing but wall-clock. *)
   let n_entries = entries in
   let entries = Workloads.Rib_gen.generate_internet ~seed ~count:n_entries in
-  Harness.run_matrix ~schedules ~progress ~execute:(execute ~mutate ~entries)
+  Harness.run_matrix ~schedules ~progress ~execute:(execute ~entries)
     ~generate:(fun i -> generate ~seed:(Int64.add seed (Int64.of_int i)) ~n_peers ~length ())
     ~steps:(fun t -> t.steps)
     ~with_steps:(fun t steps -> { t with steps })
@@ -292,6 +284,5 @@ let run_matrix ?(n_peers = 12) ?(length = 10) ?(entries = 20_000) ?(mutate = fal
       (* The table comes from the matrix seed, so the command replays
          the matrix up to this schedule rather than this one alone. *)
       Fmt.str "sc_lab ribscale-check --seed %Ld --schedules %d --peers %d \
-               --entries %d --events %d%s"
-        seed (i + 1) n_peers n_entries length
-        (if mutate then " --mutate" else ""))
+               --entries %d --events %d"
+        seed (i + 1) n_peers n_entries length)

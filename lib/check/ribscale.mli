@@ -51,24 +51,19 @@ val generate : seed:int64 -> ?n_peers:int -> ?length:int -> unit -> t
     are 10.9.0.1-10.9.255.200). Every generated schedule contains at
     least one [Storm] — one is appended when the draw produced none. *)
 
-val execute : ?mutate:bool -> entries:Workloads.Rib_gen.entry array -> t -> string list
+val execute : entries:Workloads.Rib_gen.entry array -> t -> string list
 (** Preloads every peer's skewed view of [entries] into both sides,
     then interprets the schedule, checking full ranked equivalence
     after the load and after every event; stops at the first divergence.
-    [[]] is a clean pass. Deterministic: same entries, schedule and flag
-    always return the same result. The interpreter is total — events
+    [[]] is a clean pass. Deterministic: same entries and schedule always
+    return the same result. The interpreter is total — events
     aimed at down or already-up peers are silently absorbed, exactly as
-    a silent or already-recovered session would be.
-
-    [mutate] plants a deliberate stale-route bug on the optimised side
-    only (every 7th withdrawal never reaches the RIB) — the harness's
-    own canary, as {!Run.execute}'s [mutate] is for the pipeline. *)
+    a silent or already-recovered session would be. *)
 
 val run_matrix :
   ?n_peers:int ->
   ?length:int ->
   ?entries:int ->
-  ?mutate:bool ->
   ?progress:(int -> unit) ->
   seed:int64 ->
   schedules:int ->

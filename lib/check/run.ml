@@ -209,10 +209,8 @@ let checkpoint_every = 8
 let[@lint.domain_entry
      "checker schedule runner: the checker domain pool fans the schedule \
       matrix out one schedule per domain; everything below this frame must \
-      be domain-confined or guarded"] execute ?(mutate = false) (sched : Schedule.t)
-    =
+      be domain-confined or guarded"] execute (sched : Schedule.t) =
   let rig = make_rig sched in
-  if mutate then Prov.mutate_skip_rewrite (C.provisioner rig.controller) true;
   let gt = Array.make_matrix sched.n_peers sched.n_prefixes None in
   let violations = ref [] in
   let record tag = function
@@ -244,8 +242,8 @@ let[@lint.domain_entry
   !violations
 
 let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
-    ?(mutate = false) ?(progress = ignore) ~seed ~schedules () =
-  Harness.run_matrix ~schedules ~progress ~execute:(execute ~mutate)
+    ?(progress = ignore) ~seed ~schedules () =
+  Harness.run_matrix ~schedules ~progress ~execute
     ~generate:(fun i ->
       Schedule.generate
         ~seed:(Int64.add seed (Int64.of_int i))
@@ -254,7 +252,6 @@ let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)
     ~with_steps:(fun sched steps -> { sched with steps })
     ~reproduce:(fun _ sched ->
       Fmt.str "sc_lab check --seed %Ld --schedules 1 --peers %d --prefixes %d \
-               --events %d%s%s"
+               --events %d%s"
         sched.Schedule.seed n_peers n_prefixes events
-        (if chaos then "" else " --no-chaos")
-        (if mutate then " --mutate" else ""))
+        (if chaos then "" else " --no-chaos"))

@@ -19,18 +19,16 @@
     and keepalive traffic never stops, so engine-queue emptiness can
     never serve as the criterion. *)
 
-val execute : ?mutate:bool -> Schedule.t -> string list
+val execute : Schedule.t -> string list
 (** Runs one schedule; returns the invariant violations, [[]] on a clean
-    pass. [mutate] arms {!Supercharger.Provisioner.mutate_skip_rewrite},
-    the deliberate Listing 2 bug the checker must catch. Deterministic:
-    the same schedule and flag always return the same result. *)
+    pass. Deterministic: the same schedule always returns the same
+    result. *)
 
 val run_matrix :
   ?n_peers:int ->
   ?n_prefixes:int ->
   ?events:int ->
   ?chaos:bool ->
-  ?mutate:bool ->
   ?progress:(int -> unit) ->
   seed:int64 ->
   schedules:int ->

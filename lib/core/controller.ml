@@ -33,8 +33,6 @@ type 'a tuning =
   ?probe_interval:Sim.Time.t ->
   ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
-  ?vnh_pool:Net.Prefix.t ->
-  ?vmac_base:Net.Mac.t ->
   'a
 
 type mode = Supercharged | Degraded
@@ -117,10 +115,9 @@ let create engine ~name ~asn ~router_id ?(group_size = 2)
     ?(reroute_latency = Sim.Time.of_ms 25) ?(group_linger = Sim.Time.of_sec 5.0)
     ?(ack_timeout = Sim.Time.of_ms 100) ?(ack_max_retries = 3)
     ?(bfd_debounce = Sim.Time.of_ms 100) ?(probe_interval = Sim.Time.of_ms 250)
-    ?(bfd_detect_mult = 3) ?(bfd_tx_interval = Sim.Time.of_ms 40) ?vnh_pool
-    ?vmac_base () =
+    ?(bfd_detect_mult = 3) ?(bfd_tx_interval = Sim.Time.of_ms 40) () =
   if ack_max_retries < 1 then invalid_arg "Controller.create: ack_max_retries";
-  let allocator = Vnh.create ?pool:vnh_pool ?vmac_base () in
+  let allocator = Vnh.create () in
   let groups = Backup_group.create ~group_size allocator in
   let metrics = Sim.Engine.metrics engine in
   {
@@ -454,25 +451,6 @@ let resync_peer_routes t (up : upstream) =
   | changes ->
     with_install_barrier t (fun () ->
         relay_emissions t (Algorithm.process_changes t.algorithm changes))
-
-(* Wire a live IGP node into the decision process. Costs come from the
-   node's memoized SPF table (one Dijkstra per database change, however
-   many routes are ranked), and every IGP topology change re-ranks the
-   stored routes — hot-potato routing — by replaying each upstream's
-   Adj-RIB-In against the new costs: [resync_peer_routes] re-announces
-   with fresh [igp_cost] and [Rib.announce] turns no-op re-announcements
-   into zero churn, so only genuinely re-ranked prefixes move. *)
-let attach_igp t node =
-  t.igp_cost_fn <-
-    Some
-      (fun nh ->
-        match Igp.Node.distance_to node nh with
-        | Some d -> d
-        (* An IGP-unreachable next hop ranks below every reachable one
-           (half of max_int so the comparison cannot overflow). *)
-        | None -> max_int / 2);
-  Igp.Node.on_change node (fun _distances ->
-      List.iter (fun up -> resync_peer_routes t up) t.upstreams)
 
 (* The slow path is debounced: it only withdraws the peer's routes once
    the failure has persisted for [bfd_debounce]. A spurious BFD flap

@@ -55,8 +55,6 @@ type 'a tuning =
   ?probe_interval:Sim.Time.t ->
   ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
-  ?vnh_pool:Net.Prefix.t ->
-  ?vmac_base:Net.Mac.t ->
   'a
 (** The optional arguments of {!create}. A rig builder that fixes a
     controller's name and addresses hands the caller
@@ -175,14 +173,6 @@ val set_igp_cost_fn : t -> (Net.Ipv4.t -> int) -> unit
     intra-domain routing protocols can also be used" remark. Without it
     every next hop costs 0 (all peers directly connected, as in the
     paper's lab). *)
-
-val attach_igp : t -> Igp.Node.t -> unit
-(** Binds a live IGP node as the cost oracle {e and} subscribes to its
-    changes: each SPF recomputation replays every upstream's Adj-RIB-In
-    with fresh costs, so hot-potato re-ranking happens without a session
-    reset (identical re-announcements are absorbed by the RIB). Next
-    hops the IGP cannot reach rank below every reachable one. Takes over
-    the node's [on_change] slot and the controller's cost function. *)
 
 val on_failover : t -> (failed:Net.Ipv4.t -> flow_mods:int -> unit) -> unit
 (** Fires when the Listing 2 procedure completes (rules handed to the

@@ -29,7 +29,6 @@ type t = {
          has reclaimed — resync re-deletes these in case the delete was
          lost on an unresponsive control channel *)
   mutable flow_mods : int;
-  mutable mutate_skip_rewrite : bool;
   m_flow_mods : Obs.Metrics.counter;
 }
 
@@ -42,7 +41,6 @@ let create ?(rule_priority = 100) ?(metrics = Obs.Metrics.default) ~send () =
     selected_by_vmac = Mac_table.create 64;
     retired = Mac_table.create 16;
     flow_mods = 0;
-    mutate_skip_rewrite = false;
     m_flow_mods = Obs.Metrics.counter metrics "provisioner.flow_mods";
   }
 
@@ -117,7 +115,6 @@ let selected t (binding : Backup_group.binding) =
 let fail_peer t failed_ip groups =
   Ip_table.replace t.dead failed_ip ();
   let before = t.flow_mods in
-  let skipped_one = ref false in
   List.iter
     (fun (binding : Backup_group.binding) ->
       let points_at_failed =
@@ -125,9 +122,7 @@ let fail_peer t failed_ip groups =
         | Some ip -> Net.Ipv4.equal ip failed_ip
         | None -> false
       in
-      if points_at_failed then
-        if t.mutate_skip_rewrite && not !skipped_one then skipped_one := true
-        else install_group t binding)
+      if points_at_failed then install_group t binding)
     groups;
   t.flow_mods - before
 
@@ -146,7 +141,5 @@ let resync t groups =
   t.flow_mods - before
 
 let revive_peer t ip = Ip_table.remove t.dead ip
-
-let mutate_skip_rewrite t on = t.mutate_skip_rewrite <- on
 
 let flow_mods_sent t = t.flow_mods

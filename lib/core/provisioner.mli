@@ -78,10 +78,4 @@ val revive_peer : t -> Net.Ipv4.t -> unit
     the control plane re-announces and reconverges instead, matching the
     paper's recovery story). *)
 
-val mutate_skip_rewrite : t -> bool -> unit
-(** Test-only fault switch for the checker's mutation smoke test: while
-    on, {!fail_peer} silently skips re-pointing the {e first} group whose
-    selected member failed — exactly the Listing 2 bug the differential
-    oracle must catch. Never enable outside tests. *)
-
 val flow_mods_sent : t -> int

@@ -9,7 +9,7 @@
 
 type t
 
-val create : ?pool:Net.Prefix.t -> ?vmac_base:Net.Mac.t -> unit -> t
+val create : ?pool:Net.Prefix.t -> unit -> t
 (** Defaults: VNHs drawn from [10.199.0.0/16] (host part starting at 1),
     VMACs from [00:ff:00:00:00:01] upward. The pool prefix must be at
     least a /24. *)

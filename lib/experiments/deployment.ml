@@ -98,7 +98,13 @@ let run ?(routers = 8) ?(n_prefixes = 200) ?(probes = 6) ?coverage
   let order = deployment_order routers in
   let coverage =
     match coverage with
-    | Some c -> List.sort_uniq Int.compare (List.filter (fun k -> k <= routers) c)
+    | Some c ->
+      List.iter
+        (fun k ->
+          if k < 0 || k > routers then
+            invalid_arg (Fmt.str "Deployment.run: coverage %d outside 0..%d" k routers))
+        c;
+      List.sort_uniq Int.compare c
     | None -> List.init (routers + 1) (fun k -> k)
   in
   let note fmt = Fmt.kstr (fun s -> match progress with Some f -> f s | None -> ()) fmt in

@@ -59,7 +59,8 @@ val run :
   row list
 (** Defaults: 8 routers, 200 prefixes, 6 probe prefixes, every coverage
     level 0‥routers, seeds [11;12;13], all scenarios, a 2 s measurement
-    window sampled every 5 ms. *)
+    window sampled every 5 ms. Raises [Invalid_argument] for a coverage
+    level outside 0‥routers. *)
 
 val to_json : row list -> Obs.Json.t
 (** One flat object per (scenario, seed, coverage) point. *)

@@ -335,6 +335,18 @@ let rib_tests =
         | None -> Alcotest.fail "expected change");
         Alcotest.(check (option unit)) "absent peer is None" None
           (Option.map (fun _ -> ()) (Rib.withdraw rib (pfx "1.0.0.0/24") ~peer_id:5)));
+    Alcotest.test_case "withdrawing a backup candidate removes it" `Quick (fun () ->
+        let rib = Rib.create () in
+        ignore (Rib.announce rib (pfx "1.0.0.0/24") (route ~peer_id:0 (attrs ~local_pref:200 "10.0.0.2")));
+        ignore (Rib.announce rib (pfx "1.0.0.0/24") (route ~peer_id:1 ~router_id:"10.0.0.3" (attrs "10.0.0.3")));
+        (match Rib.withdraw rib (pfx "1.0.0.0/24") ~peer_id:1 with
+        | Some change ->
+          Alcotest.(check (list int)) "best survives alone" [0]
+            (List.map (fun (r : Route.t) -> r.peer_id) change.Rib.after)
+        | None -> Alcotest.fail "a non-best withdrawal must report a change");
+        Alcotest.(check (list int)) "no stale backup" [0]
+          (List.map (fun (r : Route.t) -> r.peer_id) (Rib.ordered rib (pfx "1.0.0.0/24")));
+        Alcotest.(check int) "peer index forgets it" 0 (Rib.peer_prefix_count rib ~peer_id:1));
     Alcotest.test_case "withdraw_peer clears a session's routes" `Quick (fun () ->
         let rib = Rib.create () in
         List.iter

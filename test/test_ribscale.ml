@@ -265,25 +265,6 @@ let harness_tests =
         Alcotest.(check (list string))
           "down peers are silent, re-ups absorbed" []
           (Check.Ribscale.execute ~entries t));
-    Alcotest.test_case "the planted stale-route bug is caught and shrunk" `Quick
-      (fun () ->
-        (* The same table run_matrix builds internally (seed 3, 2k), so
-           the returned counterexample replays against it. *)
-        let entries = Workloads.Rib_gen.generate_internet ~seed:3L ~count:2_000 in
-        match
-          Check.Ribscale.run_matrix ~n_peers:8 ~length:8 ~entries:2_000 ~mutate:true
-            ~seed:3L ~schedules:2 ()
-        with
-        | None -> Alcotest.fail "the armed bug survived undetected"
-        | Some f ->
-          Alcotest.(check bool) "violations reported" true
-            (f.Check.Harness.violations <> []);
-          Alcotest.(check bool) "shrunk no longer than the original" true
-            (Check.Ribscale.length f.Check.Harness.shrunk
-            <= Check.Ribscale.length f.Check.Harness.schedule);
-          Alcotest.(check bool) "shrunk still fails" true
-            (Check.Ribscale.execute ~mutate:true ~entries f.Check.Harness.shrunk
-            <> []));
   ]
 
 let suite =

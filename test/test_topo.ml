@@ -245,6 +245,30 @@ let deployment_tests =
                     (String.split_on_char '\n' csv)))
           | _ -> Alcotest.fail "expected exactly two points")
         | _ -> Alcotest.fail "expected exactly one row");
+    Alcotest.test_case "coverage outside 0..routers is rejected" `Quick (fun () ->
+        List.iter
+          (fun k ->
+            Alcotest.check_raises (Fmt.str "coverage %d" k)
+              (Invalid_argument (Fmt.str "Deployment.run: coverage %d outside 0..8" k))
+              (fun () ->
+                ignore
+                  (Experiments.Deployment.run ~routers:8 ~n_prefixes:40 ~probes:4
+                     ~coverage:[ 2; k ] ~seeds:[ 11L ] ())))
+          [ -1; 9; 99 ]);
+    Alcotest.test_case "coverage bounds are accepted, sorted and deduplicated" `Quick
+      (fun () ->
+        match
+          Experiments.Deployment.run ~routers:8 ~n_prefixes:40 ~probes:4
+            ~coverage:[ 8; 0; 8 ] ~seeds:[ 11L ]
+            ~scenarios:[ Experiments.Deployment.Extern_fail ]
+            ~window:(Sim.Time.of_ms 900) ()
+        with
+        | [ row ] ->
+          Alcotest.(check (list int)) "one point per distinct level, ascending" [ 0; 8 ]
+            (List.map
+               (fun (p : Experiments.Deployment.point) -> p.n_supercharged)
+               row.Experiments.Deployment.points)
+        | _ -> Alcotest.fail "expected exactly one row");
   ]
 
 let suite =
