@@ -21,6 +21,16 @@ let pos_int =
   in
   Arg.conv (parse, Fmt.int)
 
+(* Latencies in milliseconds: zero is allowed, a negative or non-finite
+   number is a usage error. *)
+let nonneg_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= 0.0 -> Ok x
+    | Some _ | None -> Error (`Msg (Fmt.str "expected a non-negative number, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 (* The library rejects inputs it cannot run with [Invalid_argument]
    (for example "need >= 6 routers"). Report that as a usage error
    (exit 124), as cmdliner reports a bad value, rather than as an
@@ -76,11 +86,11 @@ let dense_arg =
         ~doc:"Simulate every packet instead of event-driven probing (small runs only).")
 
 let bfd_tx_arg =
-  Arg.(value & opt int 40 & info ["bfd-tx"] ~docv:"MS" ~doc:"BFD transmit interval (ms).")
+  Arg.(value & opt pos_int 40 & info ["bfd-tx"] ~docv:"MS" ~doc:"BFD transmit interval (ms).")
 
 let flowmod_arg =
   Arg.(
-    value & opt float 2.0
+    value & opt nonneg_float 2.0
     & info ["flow-mod-latency"] ~docv:"MS" ~doc:"Switch rule installation latency (ms).")
 
 let peers_arg =
@@ -97,8 +107,8 @@ let failure_conv =
       match String.index_opt s ':' with
       | Some i when String.sub s 0 i = "two" -> (
         match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some ms -> Ok (Experiments.Topology.Fail_two (Sim.Time.of_ms ms))
-        | None -> Error (`Msg "two:<delay-ms> expected"))
+        | Some ms when ms >= 0 -> Ok (Experiments.Topology.Fail_two (Sim.Time.of_ms ms))
+        | Some _ | None -> Error (`Msg "two:<delay-ms> expected, delay >= 0"))
       | _ -> Error (`Msg (Fmt.str "unknown failure %S (primary|backup|two:MS)" s)))
   in
   Arg.conv (parse, Experiments.Topology.pp_failure)

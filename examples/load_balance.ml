@@ -45,7 +45,6 @@ let () =
     Supercharger.Load_balancer.create
       ~allocator:(Supercharger.Vnh.create ())
       ~send:(fun _ -> ())
-      ()
   in
   for t = 0 to n_targets - 1 do
     Supercharger.Load_balancer.add_target lb (peer (2 + t) (2 + t))

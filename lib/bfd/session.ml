@@ -3,9 +3,7 @@ type t = {
   name : string;
   rng : Sim.Rng.t;
   local_discriminator : int32;
-  detect_mult : int;
   tx_interval : Sim.Time.t;
-  rx_interval : Sim.Time.t;
   send : Packet.t -> unit;
   mutable state : Packet.state;
   mutable diag : Packet.diagnostic;
@@ -26,18 +24,21 @@ let trace t fmt =
   Sim.Trace.emitf (Sim.Engine.trace t.engine) (Sim.Engine.now t.engine)
     ~category:"bfd" fmt
 
-let create engine ?(name = "bfd") ~local_discriminator ?(detect_mult = 3)
-    ?(tx_interval = Sim.Time.of_ms 40) ?rx_interval ~send () =
-  if detect_mult <= 0 then invalid_arg "Bfd.Session.create: detect_mult";
-  let rx_interval = match rx_interval with Some i -> i | None -> tx_interval in
+(* The paper's calibration: a peer is declared down after three missed
+   intervals. *)
+let detect_mult = 3
+
+let create engine ?(name = "bfd") ~local_discriminator
+    ?(tx_interval = Sim.Time.of_ms 40) ~send () =
+  (* The wire carries intervals in microseconds, and a shorter one would
+     re-arm the transmit timer at the same instant for ever. *)
+  if Sim.Time.(tx_interval < of_us 1) then invalid_arg "Bfd.Session.create: tx_interval";
   {
     engine;
     name;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     local_discriminator;
-    detect_mult;
     tx_interval;
-    rx_interval;
     send;
     state = Packet.Down;
     diag = Packet.No_diagnostic;
@@ -56,10 +57,10 @@ let create engine ?(name = "bfd") ~local_discriminator ?(detect_mult = 3)
 
 let detection_time t =
   (* RFC 5880 §6.8.4: remote detect-mult times the agreed interval, the
-     larger of our required rx and the remote's desired tx. *)
+     larger of our required rx (our tx) and the remote's desired tx. *)
   let negotiated_us =
     Stdlib.max
-      (Sim.Time.to_ns_int t.rx_interval / 1000)
+      (Sim.Time.to_ns_int t.tx_interval / 1000)
       t.remote_min_tx_us
   in
   Sim.Time.mul (Sim.Time.of_us negotiated_us) t.remote_detect_mult
@@ -77,11 +78,11 @@ let control_packet t =
   {
     Packet.state = t.state;
     diag = t.diag;
-    detect_mult = t.detect_mult;
+    detect_mult;
     my_discriminator = t.local_discriminator;
     your_discriminator = t.remote_discriminator;
     desired_min_tx_us = Sim.Time.to_ns_int t.tx_interval / 1000;
-    required_min_rx_us = Sim.Time.to_ns_int t.rx_interval / 1000;
+    required_min_rx_us = Sim.Time.to_ns_int t.tx_interval / 1000;
   }
 
 let transmit t () =

@@ -14,15 +14,17 @@ val create :
   Sim.Engine.t ->
   ?name:string ->
   local_discriminator:int32 ->
-  ?detect_mult:int ->
   ?tx_interval:Sim.Time.t ->
-  ?rx_interval:Sim.Time.t ->
   send:(Packet.t -> unit) ->
   unit ->
   t
-(** Defaults per the paper's calibration: [detect_mult] 3,
-    [tx_interval] 40 ms, [rx_interval] = [tx_interval]. The session
-    starts in [Down] and begins transmitting when {!enable}d. *)
+(** [tx_interval] (default 40 ms, the paper's calibration) is both the
+    desired transmit and the required receive interval; every session
+    advertises a detection multiplier of 3. The session starts in
+    [Down] and begins transmitting when {!enable}d.
+
+    @raise Invalid_argument if [tx_interval] is under 1 µs, the wire
+    format's unit. *)
 
 val enable : t -> unit
 val disable : t -> unit

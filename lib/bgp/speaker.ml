@@ -31,11 +31,10 @@ let name t = t.name
 let asn t = t.asn
 let router_id t = t.router_id
 
-let add_peer t ~name ~channel ~side ?hold_time () =
+let add_peer t ~name ~channel ~side =
   let id = List.length t.peer_list in
   let session =
     Session.create t.engine ~channel ~side ~asn:t.asn ~router_id:t.router_id
-      ?hold_time
       ~name:(Fmt.str "%s->%s" t.name name)
       ()
   in

@@ -32,17 +32,12 @@ val add_peer :
   name:string ->
   channel:Channel.t ->
   side:Channel.side ->
-  ?hold_time:int ->
-  unit ->
   peer
-(** Creates the session on our side of [channel]. Call before
-    {!start}. *)
+(** Creates the session on our side of [channel], with
+    {!Session.create}'s 90 s hold time. Call before {!start}. *)
 
 val peers : t -> peer list
 (** In id order. *)
-
-val find_peer : t -> int -> peer
-(** @raise Not_found for an unknown id. *)
 
 val start : t -> unit
 (** Starts every session. *)

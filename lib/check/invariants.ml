@@ -10,7 +10,6 @@ type subject = {
   probe_port : int;
   probe_mac : Net.Mac.t;
   probe_src : Net.Ipv4.t;
-  rule_priority : int;
 }
 
 (* The switch entries that are backup-group (VMAC) rules: installed by
@@ -18,7 +17,7 @@ type subject = {
 let vmac_rules s =
   List.filter_map
     (fun (e : Openflow.Flow_table.entry) ->
-      if e.priority <> s.rule_priority then None
+      if e.priority <> Prov.rule_priority then None
       else
         match e.ofmatch.Openflow.Ofmatch.dl_dst with
         | Some mac -> Some (mac, e)

@@ -35,7 +35,6 @@ type subject = {
   probe_port : int;  (** switch port the probe frames arrive on *)
   probe_mac : Net.Mac.t;  (** their source MAC (the router's) *)
   probe_src : Net.Ipv4.t;  (** their source IP *)
-  rule_priority : int;  (** the provisioner's VMAC-rule priority *)
 }
 
 val transient : subject -> string list

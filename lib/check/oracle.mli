@@ -47,9 +47,6 @@ val peer_down : t -> int -> unit
 val peer_up : t -> int -> unit
 val alive : t -> int -> bool
 
-val best : t -> Net.Prefix.t -> Bgp.Route.t option
-(** Best route among alive peers' candidates ({!Bgp.Decision.best}). *)
-
 val candidates : t -> Net.Prefix.t -> Bgp.Route.t list
 (** Every candidate from currently-alive peers, unranked — the
     decision-process input the differential checker re-ranks naively to

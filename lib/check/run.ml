@@ -70,7 +70,6 @@ let make_rig (sched : Schedule.t) =
       probe_port = Lab.port_controller ~n_peers 0;
       probe_mac = Lab.mac_controller 0;
       probe_src = Lab.ip_controller 0;
-      rule_priority = 100;
     }
   in
   {

@@ -23,21 +23,10 @@ type view = {
 
 val of_fabric : Topo.Fabric.t -> view
 
-val inf : int
-(** The unreachable distance. *)
-
 val distances : view -> int array array
 (** All-pairs shortest paths over up links ([{!inf}] = unreachable). *)
 
 val connected : int array array -> bool
-
-val local_best : view -> router:int -> Net.Prefix.t -> (int * Bgp.Attributes.t) option
-(** The best-external advert router [router] owes the reflector. *)
-
-val adverts : view -> Net.Prefix.t -> (int * int * Bgp.Attributes.t) list
-(** The reflector's per-origin advert store: [(origin, extern, attrs)]. *)
-
-val rr_best : view -> Net.Prefix.t -> (int * int * Bgp.Attributes.t) option
 
 val expected_choice : view -> int array array -> router:int -> Net.Prefix.t -> int option
 (** The extern the router should forward the prefix toward at

@@ -48,9 +48,7 @@ val generate :
     [routers >= 6] (the chord mesh needs it) and [1 <= n_prefixes <= 256]
     (the prefixes are 203.0.0.0/24-203.0.255.0/24). *)
 
-val spec_of : t -> Topo.Spec.t
 val length : t -> int
-val prefix_of : int -> Net.Prefix.t
 
 val pp : Format.formatter -> t -> unit
 val pp_event : Format.formatter -> event -> unit

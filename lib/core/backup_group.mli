@@ -28,9 +28,6 @@ val create : ?group_size:int -> Vnh.t -> t
 
 val group_size : t -> int
 
-val key_of_next_hops : t -> Net.Ipv4.t list -> Net.Ipv4.t list
-(** Truncates a ranked next-hop list to the group size. *)
-
 val find_or_create : t -> Net.Ipv4.t list -> binding
 (** Looks up the (truncated) tuple, allocating a fresh (VNH, VMAC) on
     first sight — in which case the [on_create] observer fires (the

@@ -25,13 +25,10 @@ type downstream = {
 
 type 'a tuning =
   ?group_size:int ->
-  ?reroute_latency:Sim.Time.t ->
   ?group_linger:Sim.Time.t ->
   ?ack_timeout:Sim.Time.t ->
-  ?ack_max_retries:int ->
   ?bfd_debounce:Sim.Time.t ->
   ?probe_interval:Sim.Time.t ->
-  ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
   'a
 
@@ -56,13 +53,10 @@ type pending_ack = {
 type t = {
   engine : Sim.Engine.t;
   name : string;
-  reroute_latency : Sim.Time.t;
   group_linger : Sim.Time.t;
   ack_timeout : Sim.Time.t;
-  ack_max_retries : int;
   bfd_debounce : Sim.Time.t;
   probe_interval : Sim.Time.t;
-  bfd_detect_mult : int;
   bfd_tx_interval : Sim.Time.t;
   speaker : Bgp.Speaker.t;
   rib : Bgp.Rib.t;
@@ -107,29 +101,31 @@ type t = {
   m_flaps_suppressed : Obs.Metrics.counter;
 }
 
+(* Computation plus REST push between a BFD transition and the
+   controller's reaction (Floodlight, DESIGN §5). *)
+let reroute_latency = Sim.Time.of_ms 25
+
+(* Unanswered barriers before the controller degrades. *)
+let ack_max_retries = 3
+
 let trace t fmt =
   Sim.Trace.emitf (Sim.Engine.trace t.engine) (Sim.Engine.now t.engine)
     ~category:"controller" fmt
 
 let create engine ~name ~asn ~router_id ?(group_size = 2)
-    ?(reroute_latency = Sim.Time.of_ms 25) ?(group_linger = Sim.Time.of_sec 5.0)
-    ?(ack_timeout = Sim.Time.of_ms 100) ?(ack_max_retries = 3)
+    ?(group_linger = Sim.Time.of_sec 5.0) ?(ack_timeout = Sim.Time.of_ms 100)
     ?(bfd_debounce = Sim.Time.of_ms 100) ?(probe_interval = Sim.Time.of_ms 250)
-    ?(bfd_detect_mult = 3) ?(bfd_tx_interval = Sim.Time.of_ms 40) () =
-  if ack_max_retries < 1 then invalid_arg "Controller.create: ack_max_retries";
+    ?(bfd_tx_interval = Sim.Time.of_ms 40) () =
   let allocator = Vnh.create () in
   let groups = Backup_group.create ~group_size allocator in
   let metrics = Sim.Engine.metrics engine in
   {
     engine;
     name;
-    reroute_latency;
     group_linger;
     ack_timeout;
-    ack_max_retries;
     bfd_debounce;
     probe_interval;
-    bfd_detect_mult;
     bfd_tx_interval;
     speaker = Bgp.Speaker.create engine ~name ~asn ~router_id ();
     rib = Bgp.Rib.create ();
@@ -269,8 +265,8 @@ and handle_ack_timeout t pa =
     t.pending_acks <- List.filter (fun p -> p != pa) t.pending_acks;
     Obs.Metrics.incr t.m_ack_timeouts;
     trace t "%s: barrier %d unanswered (attempt %d/%d)" t.name pa.pa_xid
-      pa.pa_attempt t.ack_max_retries;
-    if pa.pa_attempt < t.ack_max_retries then begin
+      pa.pa_attempt ack_max_retries;
+    if pa.pa_attempt < ack_max_retries then begin
       (* Re-issue the rewrites this barrier brackets. Every path is
          idempotent, so a retry that crosses an already-applied flow-mod
          is harmless. For a failover barrier the bracketed writes are
@@ -309,7 +305,7 @@ and enter_degraded t =
       t.probe_task <-
         Some
           (Sim.Engine.every t.engine ~interval:t.probe_interval (fun () ->
-               send_tracked_barrier t ~attempt:t.ack_max_retries ()))
+               send_tracked_barrier t ~attempt:ack_max_retries ()))
   end
 
 and recover t =
@@ -483,7 +479,7 @@ let handle_peer_failure t failed_ip =
     trace t "%s: peer %a failed; scheduling reroute" t.name Net.Ipv4.pp failed_ip;
     t.inflight_transitions <- t.inflight_transitions + 1;
     ignore
-      (Sim.Engine.schedule_after t.engine t.reroute_latency (fun () ->
+      (Sim.Engine.schedule_after t.engine reroute_latency (fun () ->
            t.inflight_transitions <- t.inflight_transitions - 1;
            (* Data-plane convergence first (Listing 2)... *)
            let flow_mods =
@@ -526,7 +522,7 @@ let handle_peer_recovery t revived_ip =
     trace t "%s: peer %a recovered; scheduling repair" t.name Net.Ipv4.pp revived_ip;
     t.inflight_transitions <- t.inflight_transitions + 1;
     ignore
-      (Sim.Engine.schedule_after t.engine t.reroute_latency (fun () ->
+      (Sim.Engine.schedule_after t.engine reroute_latency (fun () ->
            t.inflight_transitions <- t.inflight_transitions - 1;
            let p = provisioner_exn t in
            Provisioner.revive_peer p revived_ip;
@@ -688,8 +684,8 @@ let attach_dataplane t endhost =
         | None -> ())
 
 let add_upstream_peer t ~name ~ip ~mac ~switch_port ~channel ~side
-    ?import_local_pref ?hold_time () =
-  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side ?hold_time () in
+    ?import_local_pref () =
+  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side in
   let up = { up_peer = peer; up_ip = ip; up_import_local_pref = import_local_pref } in
   t.upstreams <- up :: t.upstreams;
   (match t.provisioner with
@@ -698,8 +694,8 @@ let add_upstream_peer t ~name ~ip ~mac ~switch_port ~channel ~side
   | None -> invalid_arg (t.name ^ ": connect_switch before add_upstream_peer"));
   peer
 
-let add_router t ~name ~channel ~side ?hold_time () =
-  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side ?hold_time () in
+let add_router t ~name ~channel ~side =
+  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side in
   let d = { down_peer = peer; down_pending = [] } in
   t.downstreams <- d :: t.downstreams;
   peer
@@ -737,8 +733,7 @@ let enable_bfd t =
           let session =
             Bfd.Session.create t.engine
               ~name:(Fmt.str "%s-bfd-%a" t.name Net.Ipv4.pp up.up_ip)
-              ~local_discriminator:discriminator ~detect_mult:t.bfd_detect_mult
-              ~tx_interval:t.bfd_tx_interval ~send ()
+              ~local_discriminator:discriminator ~tx_interval:t.bfd_tx_interval ~send ()
           in
           Ip_table.replace t.bfd_sessions up.up_ip session;
           let ip = up.up_ip in

@@ -14,9 +14,8 @@
       {!Arp_responder} (VNH → VMAC);
     - per-peer BFD sessions run over the controller's own data-plane
       attachment; a detected failure triggers the Listing 2 fail-over
-      after a configurable [reroute_latency] (computation + REST push),
-      followed by the slow-path re-announcements that let the router
-      converge in the background;
+      25 ms later (computation + REST push), followed by the slow-path
+      re-announcements that let the router converge in the background;
     - when BFD sees the peer again, the groups preferring it are
       re-pointed back (the inverse of Listing 2); its routes return
       through BGP re-announcement, as after any session
@@ -29,10 +28,10 @@
     The controller does not trust the switch blindly. Every failover's
     flow-mods are bracketed by a tracked barrier; a missing reply
     re-issues the rewrites idempotently with exponential backoff
-    ([ack_timeout] × 2^attempt), and after [ack_max_retries] silent
-    attempts the controller {e degrades}: the algorithm switches to
-    passthrough (real next hops, the router's own O(#prefixes) FIB
-    convergence) while periodic barrier probes test the switch. The
+    ([ack_timeout] × 2^attempt), and after three silent attempts the
+    controller {e degrades}: the algorithm switches to passthrough (real
+    next hops, the router's own O(#prefixes) FIB convergence) while
+    periodic barrier probes test the switch. The
     first answered probe re-installs every live group rule and
     re-announces the VNHs — supercharged mode again. BFD Down events
     re-point rules immediately but the RIB withdrawal (slow path) is
@@ -47,13 +46,10 @@ val pp_mode : Format.formatter -> mode -> unit
 
 type 'a tuning =
   ?group_size:int ->
-  ?reroute_latency:Sim.Time.t ->
   ?group_linger:Sim.Time.t ->
   ?ack_timeout:Sim.Time.t ->
-  ?ack_max_retries:int ->
   ?bfd_debounce:Sim.Time.t ->
   ?probe_interval:Sim.Time.t ->
-  ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
   'a
 (** The optional arguments of {!create}. A rig builder that fixes a
@@ -64,14 +60,14 @@ type 'a tuning =
 val create :
   Sim.Engine.t -> name:string -> asn:Bgp.Asn.t -> router_id:Net.Ipv4.t ->
   (unit -> t) tuning
-(** Defaults: [group_size] 2; [reroute_latency] 25 ms; [group_linger]
-    5 s (how long an unreferenced backup-group keeps its rule before
-    being garbage-collected and its VNH/VMAC recycled); [ack_timeout]
-    100 ms (base barrier-reply timeout, doubled per attempt);
-    [ack_max_retries] 3 (attempts before degrading); [bfd_debounce]
+(** Defaults: [group_size] 2; [group_linger] 5 s (how long an
+    unreferenced backup-group keeps its rule before being
+    garbage-collected and its VNH/VMAC recycled); [ack_timeout] 100 ms
+    (base barrier-reply timeout, doubled per attempt); [bfd_debounce]
     100 ms (flap window before the slow-path RIB withdrawal fires);
-    [probe_interval] 250 ms (barrier probes while degraded); BFD
-    3 × 40 ms; allocator defaults of {!Vnh.create}.
+    [probe_interval] 250 ms (barrier probes while degraded);
+    [bfd_tx_interval] 40 ms (detection after 3 × that, see
+    {!Bfd.Session.create}); allocator defaults of {!Vnh.create}.
 
     The controller registers its metrics in the engine's registry:
     counters [controller.updates_processed], [controller.updates_sent]
@@ -81,9 +77,7 @@ val create :
     [controller.recoveries] and [controller.bfd_flaps_suppressed];
     gauge [controller.groups_live]; histogram
     [controller.failover_seconds] (BFD-down to last failover flow-mod
-    applied, measured with an OpenFlow barrier).
-
-    @raise Invalid_argument if [ack_max_retries < 1]. *)
+    applied, measured with an OpenFlow barrier). *)
 
 val name : t -> string
 
@@ -117,7 +111,6 @@ val add_upstream_peer :
   channel:Bgp.Channel.t ->
   side:Bgp.Channel.side ->
   ?import_local_pref:int ->
-  ?hold_time:int ->
   unit ->
   Bgp.Speaker.peer
 (** A provider peer: BGP session over [channel], data-plane coordinates
@@ -130,8 +123,6 @@ val add_router :
   name:string ->
   channel:Bgp.Channel.t ->
   side:Bgp.Channel.side ->
-  ?hold_time:int ->
-  unit ->
   Bgp.Speaker.peer
 (** A supercharged router downstream. Emissions are buffered until its
     session establishes. *)

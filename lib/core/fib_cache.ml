@@ -14,7 +14,6 @@ end)
 
 type t = {
   aggregate_len : int;
-  priority_base : int;
   send : Openflow.Message.t -> unit;
   vnh : Net.Ipv4.t;
   vmac : Net.Mac.t;
@@ -24,13 +23,12 @@ type t = {
   mutable rules : int;
 }
 
-let create ?(aggregate_len = 8) ?(priority_base = 1000) ~allocator ~send () =
+let create ?(aggregate_len = 8) ~allocator ~send () =
   if aggregate_len < 0 || aggregate_len > 24 then
     invalid_arg "Fib_cache.create: aggregate_len out of range";
   let vnh, vmac = Vnh.fresh allocator in
   {
     aggregate_len;
-    priority_base;
     send;
     vnh;
     vmac;
@@ -55,7 +53,8 @@ let cover t prefix =
 let rule_match t prefix =
   Openflow.Ofmatch.make ~dl_dst:t.vmac ~dl_type:0x0800 ~nw_dst:prefix ()
 
-let rule_priority t prefix = t.priority_base + Net.Prefix.length prefix
+(* Per-length priorities, all above the convergence rules. *)
+let rule_priority prefix = 1000 + Net.Prefix.length prefix
 
 type emission =
   | Announce_aggregate of Net.Prefix.t
@@ -96,7 +95,7 @@ let route t prefix target =
         in
         t.send
           (Openflow.Message.Flow_mod
-             (Openflow.Flow_table.flow_mod ~priority:(rule_priority t prefix)
+             (Openflow.Flow_table.flow_mod ~priority:(rule_priority prefix)
                 command (rule_match t prefix)
                 [
                   Openflow.Action.Set_dl_dst info.Provisioner.pi_mac;
@@ -111,7 +110,7 @@ let route t prefix target =
       t.rules <- t.rules + 1;
       t.send
         (Openflow.Message.Flow_mod
-           (Openflow.Flow_table.flow_mod ~priority:(rule_priority t prefix)
+           (Openflow.Flow_table.flow_mod ~priority:(rule_priority prefix)
               Openflow.Flow_table.Delete_strict (rule_match t prefix) []));
       bump_aggregate t (cover t prefix) (-1)
     end

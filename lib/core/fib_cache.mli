@@ -20,14 +20,13 @@ type t
 
 val create :
   ?aggregate_len:int ->
-  ?priority_base:int ->
   allocator:Vnh.t ->
   send:(Openflow.Message.t -> unit) ->
   unit ->
   t
 (** [aggregate_len] (default 8) is the mask length aggregates are cut
-    at; [priority_base] (default 1000) anchors the per-length rule
-    priorities, so they sit above the convergence rules. One (VNH, VMAC)
+    at. A rule's priority is 1000 plus its prefix length, above the
+    convergence rules. One (VNH, VMAC)
     pair is drawn from [allocator] as the indirection tag. *)
 
 val vnh : t -> Net.Ipv4.t

@@ -13,7 +13,6 @@ type flow_key = {
 }
 
 type t = {
-  rule_priority : int;
   send : Openflow.Message.t -> unit;
   vnh : Net.Ipv4.t;
   vmac : Net.Mac.t;
@@ -23,10 +22,13 @@ type t = {
   mutable rules : int;
 }
 
-let create ?(rule_priority = 300) ~allocator ~send () =
+(* Per-flow rules sit above the backup-group rules, the tag's default
+   rule one below them. *)
+let rule_priority = 300
+
+let create ~allocator ~send =
   let vnh, vmac = Vnh.fresh allocator in
   {
-    rule_priority;
     send;
     vnh;
     vmac;
@@ -51,7 +53,7 @@ let add_target t info =
   match t.targets with
   | first :: _ ->
     send_rule t
-      (Openflow.Flow_table.flow_mod ~priority:(t.rule_priority - 1)
+      (Openflow.Flow_table.flow_mod ~priority:(rule_priority - 1)
          Openflow.Flow_table.Add
          (Openflow.Ofmatch.dl_dst t.vmac)
          [
@@ -98,7 +100,7 @@ let pin t key (target : Provisioner.peer_info) =
   Hashtbl.replace t.assignments key ip;
   Ip_table.replace t.loads ip (load t ip + 1);
   send_rule t
-    (Openflow.Flow_table.flow_mod ~priority:t.rule_priority Openflow.Flow_table.Add
+    (Openflow.Flow_table.flow_mod ~priority:rule_priority Openflow.Flow_table.Add
        (flow_match t key)
        [
          Openflow.Action.Set_dl_dst target.Provisioner.pi_mac;
@@ -141,11 +143,11 @@ let remove_target t ip =
         (fun key ->
           Hashtbl.remove t.assignments key;
           send_rule t
-            (Openflow.Flow_table.flow_mod ~priority:t.rule_priority
+            (Openflow.Flow_table.flow_mod ~priority:rule_priority
                Openflow.Flow_table.Delete_strict (flow_match t key) []))
         orphaned;
       send_rule t
-        (Openflow.Flow_table.flow_mod ~priority:(t.rule_priority - 1)
+        (Openflow.Flow_table.flow_mod ~priority:(rule_priority - 1)
            Openflow.Flow_table.Delete_strict
            (Openflow.Ofmatch.dl_dst t.vmac)
            [])
@@ -154,7 +156,7 @@ let remove_target t ip =
          each orphaned flow least-loaded-first (the Add overwrites the
          flow's old rule in place — same match, same priority). *)
       send_rule t
-        (Openflow.Flow_table.flow_mod ~priority:(t.rule_priority - 1)
+        (Openflow.Flow_table.flow_mod ~priority:(rule_priority - 1)
            Openflow.Flow_table.Add
            (Openflow.Ofmatch.dl_dst t.vmac)
            [

@@ -15,13 +15,11 @@
 type t
 
 val create :
-  ?rule_priority:int ->
   allocator:Vnh.t ->
   send:(Openflow.Message.t -> unit) ->
-  unit ->
   t
-(** One (VNH, VMAC) pair is drawn as the balanced-traffic tag.
-    [rule_priority] defaults to 300 (above the backup-group rules). *)
+(** One (VNH, VMAC) pair is drawn as the balanced-traffic tag. Its
+    rules take priority 300, above the backup-group rules. *)
 
 val vnh : t -> Net.Ipv4.t
 val vmac : t -> Net.Mac.t

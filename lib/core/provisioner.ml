@@ -19,7 +19,6 @@ module Mac_table = Hashtbl.Make (struct
 end)
 
 type t = {
-  rule_priority : int;
   send : Openflow.Message.t -> unit;
   peers : peer_info Ip_table.t;
   dead : unit Ip_table.t;
@@ -32,9 +31,10 @@ type t = {
   m_flow_mods : Obs.Metrics.counter;
 }
 
-let create ?(rule_priority = 100) ?(metrics = Obs.Metrics.default) ~send () =
+let rule_priority = 100
+
+let create ?(metrics = Obs.Metrics.default) ~send () =
   {
-    rule_priority;
     send;
     peers = Ip_table.create 16;
     dead = Ip_table.create 4;
@@ -60,7 +60,7 @@ let send_group_rule t (binding : Backup_group.binding) target =
     | None -> [] (* no member alive: drop *)
   in
   let fm =
-    Openflow.Flow_table.flow_mod ~priority:t.rule_priority Openflow.Flow_table.Add
+    Openflow.Flow_table.flow_mod ~priority:rule_priority Openflow.Flow_table.Add
       (Openflow.Ofmatch.dl_dst binding.Backup_group.vmac)
       actions
   in
@@ -93,7 +93,7 @@ let install_group t (binding : Backup_group.binding) =
 
 let send_vmac_delete t vmac =
   let fm =
-    Openflow.Flow_table.flow_mod ~priority:t.rule_priority
+    Openflow.Flow_table.flow_mod ~priority:rule_priority
       Openflow.Flow_table.Delete_strict
       (Openflow.Ofmatch.dl_dst vmac)
       []

@@ -16,16 +16,18 @@ type peer_info = {
 
 type t
 
+val rule_priority : int
+(** 100: the priority of every backup-group rule. *)
+
 val create :
-  ?rule_priority:int ->
   ?metrics:Obs.Metrics.t ->
   send:(Openflow.Message.t -> unit) ->
   unit ->
   t
 (** [send] is the switch control channel (from
-    [Openflow.Switch.connect_controller]). [rule_priority] defaults to
-    100; [metrics] (default the process-wide registry) receives the
-    "provisioner.flow_mods" counter. *)
+    [Openflow.Switch.connect_controller]); [metrics] (default the
+    process-wide registry) receives the "provisioner.flow_mods"
+    counter. *)
 
 val declare_peer : t -> peer_info -> unit
 (** Registers a peer's data-plane coordinates. Must precede installing

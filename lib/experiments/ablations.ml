@@ -10,39 +10,32 @@ let point_of_result label value_ms (result : Topology.result) =
   let s = Stats.summarize samples in
   { label; value_ms; median_s = s.Stats.median; max_s = s.Stats.max }
 
-let bfd_sweep ?(tx_intervals_ms = [10; 20; 50; 100; 200]) ?(n_prefixes = 10_000)
-    ?(seed = 42L) () =
+let supercharged ~replicas ~n_prefixes =
+  Topology.default_params ~mode:(Topology.Supercharged { replicas }) ~n_prefixes ()
+
+let bfd_sweep ?(n_prefixes = 10_000) () =
   List.map
     (fun tx ->
       let params =
         {
-          (Topology.default_params
-             ~mode:(Topology.Supercharged { replicas = 1 })
-             ~n_prefixes ())
-          with
+          (supercharged ~replicas:1 ~n_prefixes) with
           Topology.bfd_tx_interval = Sim.Time.of_ms tx;
-          seed;
         }
       in
       point_of_result (Fmt.str "bfd tx=%dms" tx) (float_of_int tx) (Topology.run params))
-    tx_intervals_ms
+    [10; 20; 50; 100; 200]
 
-let flow_mod_sweep ?(latencies_ms = [0.1; 1.0; 5.0; 10.0; 20.0]) ?(n_prefixes = 10_000)
-    ?(seed = 42L) () =
+let flow_mod_sweep ?(n_prefixes = 10_000) () =
   List.map
     (fun ms ->
       let params =
         {
-          (Topology.default_params
-             ~mode:(Topology.Supercharged { replicas = 1 })
-             ~n_prefixes ())
-          with
+          (supercharged ~replicas:1 ~n_prefixes) with
           Topology.flow_mod_latency = Sim.Time.of_sec (ms /. 1000.0);
-          seed;
         }
       in
       point_of_result (Fmt.str "flow_mod=%.1fms" ms) ms (Topology.run params))
-    latencies_ms
+    [0.1; 1.0; 5.0; 10.0; 20.0]
 
 type double_failure_report = {
   first_outage_s : float;
@@ -50,18 +43,14 @@ type double_failure_report = {
   second_outage_triples_s : float;
 }
 
-let double_failure ?(n_prefixes = 2_000) ?(delay = Sim.Time.of_ms 200) ?(seed = 42L) () =
+let double_failure ?(n_prefixes = 2_000) () =
   let run group_size =
     let params =
       {
-        (Topology.default_params
-           ~mode:(Topology.Supercharged { replicas = 1 })
-           ~n_prefixes ())
-        with
+        (supercharged ~replicas:1 ~n_prefixes) with
         Topology.n_peers = 3;
         group_size;
-        failure = Topology.Fail_two delay;
-        seed;
+        failure = Topology.Fail_two (Sim.Time.of_ms 200);
       }
     in
     Topology.run params
@@ -92,15 +81,8 @@ type replica_report = {
   convergence_max_s : float;
 }
 
-let replicas ?(n_prefixes = 5_000) ?(seed = 42L) () =
-  let params =
-    {
-      (Topology.default_params ~mode:(Topology.Supercharged { replicas = 2 }) ~n_prefixes ())
-      with
-      Topology.seed;
-    }
-  in
-  let result = Topology.run params in
+let replicas ?(n_prefixes = 5_000) () =
+  let result = Topology.run (supercharged ~replicas:2 ~n_prefixes) in
   let identical =
     match result.Topology.replica_digests with
     | [a; b] -> String.equal a b

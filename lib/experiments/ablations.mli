@@ -20,15 +20,13 @@ type point = {
   max_s : float;
 }
 
-val bfd_sweep :
-  ?tx_intervals_ms:int list -> ?n_prefixes:int -> ?seed:int64 -> unit -> point list
-(** Default intervals: 10, 20, 50, 100, 200 ms; 10 k prefixes,
-    supercharged mode. *)
+val bfd_sweep : ?n_prefixes:int -> unit -> point list
+(** Intervals 10, 20, 50, 100 and 200 ms; 10 k prefixes by default,
+    supercharged mode, seed 42. *)
 
-val flow_mod_sweep :
-  ?latencies_ms:float list -> ?n_prefixes:int -> ?seed:int64 -> unit -> point list
-(** Default latencies: 0.1, 1, 5, 10, 20 ms; 10 k prefixes,
-    supercharged mode. *)
+val flow_mod_sweep : ?n_prefixes:int -> unit -> point list
+(** Latencies 0.1, 1, 5, 10 and 20 ms; 10 k prefixes by default,
+    supercharged mode, seed 42. *)
 
 (** A4 — backup-groups of any size (§2's generalisation): fail the
     primary, then 200 ms later the peer now carrying the traffic. With
@@ -40,8 +38,7 @@ type double_failure_report = {
   second_outage_triples_s : float;
 }
 
-val double_failure :
-  ?n_prefixes:int -> ?delay:Sim.Time.t -> ?seed:int64 -> unit -> double_failure_report
+val double_failure : ?n_prefixes:int -> unit -> double_failure_report
 
 val pp_double_failure : Format.formatter -> double_failure_report -> unit
 
@@ -51,7 +48,7 @@ type replica_report = {
   convergence_max_s : float;  (** with both replicas alive *)
 }
 
-val replicas : ?n_prefixes:int -> ?seed:int64 -> unit -> replica_report
+val replicas : ?n_prefixes:int -> unit -> replica_report
 
 val pp_points : header:string -> Format.formatter -> point list -> unit
 val pp_replica_report : Format.formatter -> replica_report -> unit

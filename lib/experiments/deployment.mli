@@ -20,9 +20,6 @@ type scenario =
   | Srlg_cut
   | Partition
 
-val all_scenarios : scenario list
-val scenario_name : scenario -> string
-
 type point = {
   n_supercharged : int;
   supercharged : int list;  (** the deployed routers *)
@@ -43,7 +40,6 @@ type row = {
   points : point list;  (** in increasing coverage order *)
 }
 
-val deployment_order : int -> int list
 val default_seeds : int64 list
 
 val run :

@@ -26,21 +26,15 @@ type row = {
 val paper_sizes : int list
 (** The x-axis of the paper's Fig. 5. *)
 
-val paper_max_seconds : (int * float) list
-(** The non-supercharged maxima printed above Fig. 5's boxes: 0.9 s at
-    1 k … 140.9 s at 500 k — the reference the reproduction is compared
-    against in EXPERIMENTS.md. *)
-
 val run :
   ?sizes:int list ->
   ?repetitions:int ->
   ?monitored_flows:int ->
-  ?seed:int64 ->
   ?progress:(string -> unit) ->
   unit ->
   row list
-(** Runs the full sweep (both modes per size). Defaults: the paper's
-    sizes, 3 repetitions, 100 flows. *)
+(** Runs the full sweep (both modes per size), repetition [k] with seed
+    [42 + k]. Defaults: the paper's sizes, 3 repetitions, 100 flows. *)
 
 val to_json : row list -> Obs.Json.t
 (** The sweep as a JSON object: [paper_max_seconds] reference values

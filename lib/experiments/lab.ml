@@ -66,7 +66,7 @@ let bgp_channel ?(bgp_wire = false) engine name =
   else Bgp.Channel.create engine ~name ()
 
 let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
-    ?(import_local_pref = true) ?bfd_detect_mult ?bfd_tx_interval
+    ?(import_local_pref = true) ?bfd_tx_interval
     ?(controller : (unit -> C.t) C.tuning -> C.t = fun create -> create ()) ?r1
     ~n_peers ~replicas () =
   if n_peers < 1 || n_peers > 98 then
@@ -84,8 +84,7 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
     Array.init n_peers (fun i ->
         Router.Peer.create engine
           ~name:("r" ^ string_of_int (2 + i))
-          ~asn:(asn_peer i) ~mac:(mac_peer i) ~ip:(ip_peer i) ?bfd_detect_mult
-          ?bfd_tx_interval ())
+          ~asn:(asn_peer i) ~mac:(mac_peer i) ~ip:(ip_peer i) ?bfd_tx_interval ())
   in
   let r1_link =
     Option.map
@@ -136,12 +135,12 @@ let create engine ?flow_mod_latency ?(of_codec = false) ?of_faults ?bgp_wire
                ?import_local_pref:
                  (if import_local_pref then Some (local_pref_of_peer i) else None)
                ());
-          ignore (Router.Peer.add_bgp_peer peer ~name:tag ~channel:ch ~side:Bgp.Channel.B ());
+          ignore (Router.Peer.add_bgp_peer peer ~name:tag ~channel:ch ~side:Bgp.Channel.B);
           ch)
         peers
     in
     let downstream = bgp_channel (tag ^ "-r1") in
-    ignore (C.add_router c ~name:"r1" ~channel:downstream ~side:Bgp.Channel.A ());
+    ignore (C.add_router c ~name:"r1" ~channel:downstream ~side:Bgp.Channel.A);
     (match r1 with
     | Some r1 ->
       ignore

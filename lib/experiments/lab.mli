@@ -54,7 +54,6 @@ val create :
   ?of_faults:Sim.Faults.t ->
   ?bgp_wire:bool ->
   ?import_local_pref:bool ->
-  ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
   ?controller:
     ((unit -> Supercharger.Controller.t) Supercharger.Controller.tuning ->
@@ -69,8 +68,8 @@ val create :
     [false]) and [of_faults] apply to every replica's OpenFlow path,
     [bgp_wire] to every BGP channel (see {!bgp_channel}).
     [import_local_pref] (default [true]) applies {!local_pref_of_peer}
-    on import; without it routes rank on their own attributes. The BFD
-    parameters configure the providers' responders. [controller] gets
+    on import; without it routes rank on their own attributes. [bfd_tx_interval]
+    configures the providers' responders. [controller] gets
     each replica's [Controller.create], applied to its name, AS and
     router-id, and applies the caller's timers (default: none).
 

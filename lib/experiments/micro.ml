@@ -13,10 +13,10 @@ type report = {
   total_s : float;
 }
 
-let run ?(count = 500_000) ?(seed = 42L) () =
+let run ?(count = 500_000) () =
   let next_hops = [| Net.Ipv4.of_octets 10 0 0 2; Net.Ipv4.of_octets 10 0 0 3 |] in
   let asns = [| Bgp.Asn.of_int 65002; Bgp.Asn.of_int 65003 |] in
-  let events = Workloads.Churn.full_table_race ~seed ~count ~next_hops ~asns in
+  let events = Workloads.Churn.full_table_race ~seed:42L ~count ~next_hops ~asns in
   let rib = Bgp.Rib.create () in
   let allocator = Supercharger.Vnh.create () in
   let groups = Supercharger.Backup_group.create allocator in

@@ -23,8 +23,8 @@ type report = {
   total_s : float;
 }
 
-val run : ?count:int -> ?seed:int64 -> unit -> report
+val run : ?count:int -> unit -> report
 (** [count] prefixes per peer (default 500_000 — the paper's size;
-    tests use smaller). *)
+    tests use smaller), seed 42. *)
 
 val pp_report : Format.formatter -> report -> unit

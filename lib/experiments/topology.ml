@@ -31,16 +31,10 @@ type params = {
   failure : failure;
   monitored_flows : int;
   seed : int64;
-  bfd_detect_mult : int;
   bfd_tx_interval : Sim.Time.t;
-  fib_batch_start : Sim.Time.t;
-  fib_per_entry : Sim.Time.t;
   flow_mod_latency : Sim.Time.t;
-  reroute_latency : Sim.Time.t;
   grid : Sim.Time.t;
   traffic : traffic;
-  feed_batch : int;
-  feed_interval : Sim.Time.t;
   trace : bool;
   pcap : string option;
   bgp_wire : bool;
@@ -55,16 +49,10 @@ let default_params ?(mode = Plain) ~n_prefixes () =
     failure = Fail_primary;
     monitored_flows = 100;
     seed = 42L;
-    bfd_detect_mult = 3;
     bfd_tx_interval = Sim.Time.of_ms 40;
-    fib_batch_start = Sim.Time.of_ms 280;
-    fib_per_entry = Sim.Time.of_us 281;
     flow_mod_latency = Sim.Time.of_ms 2;
-    reroute_latency = Sim.Time.of_ms 25;
     grid = Trafficgen.Flow.grid_default;
     traffic = Event_driven;
-    feed_batch = 500;
-    feed_interval = Sim.Time.of_ms 1;
     trace = false;
     pcap = None;
     bgp_wire = false;
@@ -190,17 +178,13 @@ let run params =
             if_connected = Net.Prefix.make (Net.Ipv4.of_octets 192 168 0 0) 24;
           };
         ]
-      ~fib_batch_start_latency:params.fib_batch_start
-      ~fib_per_entry_latency:params.fib_per_entry ()
+      ()
   in
   let lab =
     Lab.create engine ~flow_mod_latency:params.flow_mod_latency
-      ~bgp_wire:params.bgp_wire ~bfd_detect_mult:params.bfd_detect_mult
-      ~bfd_tx_interval:params.bfd_tx_interval
+      ~bgp_wire:params.bgp_wire ~bfd_tx_interval:params.bfd_tx_interval
       ~controller:(fun create ->
-        create ~group_size:params.group_size ~reroute_latency:params.reroute_latency
-          ~bfd_detect_mult:params.bfd_detect_mult
-          ~bfd_tx_interval:params.bfd_tx_interval ())
+        create ~group_size:params.group_size ~bfd_tx_interval:params.bfd_tx_interval ())
       ~r1 ~n_peers
       ~replicas:(match params.mode with Plain -> 0 | Supercharged { replicas } -> replicas)
       ()
@@ -240,11 +224,10 @@ let run params =
             ~channel:ch ~side:Bgp.Channel.A
             ~import_local_pref:(Lab.local_pref_of_peer i) ()
         in
-        ignore (Router.Peer.add_bgp_peer peer ~name:"r1" ~channel:ch ~side:Bgp.Channel.B ());
+        ignore (Router.Peer.add_bgp_peer peer ~name:"r1" ~channel:ch ~side:Bgp.Channel.B);
         ignore
           (Router.Legacy.enable_bfd r1 ~peer:r1_peer ~remote_ip:(Lab.ip_peer i)
-             ~interface:0 ~detect_mult:params.bfd_detect_mult
-             ~tx_interval:params.bfd_tx_interval ()))
+             ~interface:0 ~tx_interval:params.bfd_tx_interval ()))
       peers;
   Lab.start lab;
   let controllers =
@@ -273,8 +256,7 @@ let run params =
         Workloads.Rib_gen.to_updates entries ~speaker_asn:(Lab.asn_peer i)
           ~next_hop:(Lab.ip_peer i)
       in
-      Workloads.Feed.replay engine ~updates ~batch:params.feed_batch
-        ~interval:params.feed_interval
+      Workloads.Feed.replay engine ~updates
         ~on_done:(fun () -> replay_peer (i + 1))
         ~send:(fun u -> Router.Peer.announce_to_all peers.(i) u)
         ()
@@ -293,7 +275,7 @@ let run params =
   let load_timeout =
     (* Feed transfer + up to two full serialized FIB passes + slack. *)
     Sim.Time.add
-      (Sim.Time.mul params.fib_per_entry (max 1 (2 * params.n_prefixes)))
+      (Sim.Time.mul Router.Fib.default_per_entry_latency (max 1 (2 * params.n_prefixes)))
       (Sim.Time.of_sec 30.0)
   in
   if not (run_until engine ~timeout:load_timeout ~step:(Sim.Time.of_sec 1.0) settled)
@@ -388,7 +370,7 @@ let run params =
   (* Run until every flow has recovered from the last failure. *)
   let recovery_timeout =
     Sim.Time.add
-      (Sim.Time.mul params.fib_per_entry (max 1 (3 * params.n_prefixes)))
+      (Sim.Time.mul Router.Fib.default_per_entry_latency (max 1 (3 * params.n_prefixes)))
       (Sim.Time.add (Sim.Time.sub last_failure t_fail) (Sim.Time.of_sec 30.0))
   in
   let recovered () = Trafficgen.Monitor.all_alive_since monitor last_failure in

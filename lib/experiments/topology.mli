@@ -51,16 +51,10 @@ type params = {
   failure : failure;
   monitored_flows : int;
   seed : int64;
-  bfd_detect_mult : int;
   bfd_tx_interval : Sim.Time.t;
-  fib_batch_start : Sim.Time.t;
-  fib_per_entry : Sim.Time.t;
   flow_mod_latency : Sim.Time.t;
-  reroute_latency : Sim.Time.t;
   grid : Sim.Time.t;
   traffic : traffic;
-  feed_batch : int;
-  feed_interval : Sim.Time.t;
   trace : bool;  (** keep the event trace (memory-heavy on big runs) *)
   pcap : string option;
       (** write a nanosecond pcap of R1's uplink to this file *)
@@ -71,10 +65,14 @@ type params = {
 }
 
 val default_params : ?mode:mode -> n_prefixes:int -> unit -> params
-(** The paper's setup and calibration: 2 peers, groups of 2,
-    [Fail_primary]; BFD 3 × 40 ms; FIB batch start 280 ms and
-    281 µs/entry (Nexus 7k); flow-mod 2 ms (HP E3800); reroute 25 ms
-    (Floodlight REST push); 70 µs grid; 100 monitored flows; seed 42. *)
+(** The paper's setup: 2 peers, groups of 2, [Fail_primary]; BFD every
+    40 ms; flow-mod 2 ms (HP E3800); 70 µs grid; 100 monitored flows;
+    seed 42. The calibration that no experiment varies is fixed where it
+    is used: BFD's detection multiplier 3 ({!Bfd.Session.create}), R1's
+    FIB batch start 280 ms and 281 µs per entry (Nexus 7k,
+    {!Router.Fib.create}), the controller's 25 ms reroute (Floodlight
+    REST push, {!Supercharger.Controller.create}) and the feed's 500
+    updates per ms ({!Workloads.Feed.replay}). *)
 
 type result = {
   r_params : params;

@@ -17,10 +17,6 @@ val install : t -> Lsa.t -> verdict
 val find : t -> Net.Ipv4.t -> Lsa.t option
 val all : t -> Lsa.t list
 
-val snapshot : t -> Lsa.t list
-(** Every held LSA, sorted by origin — a canonical form for comparing
-    databases across nodes. *)
-
 val equal : t -> t -> bool
 (** Same canonical {!snapshot} (origin sets and LSA contents agree). *)
 

@@ -6,7 +6,6 @@ type t = {
   mutable neighbors : neighbor list;
   mutable seq : int;
   mutable change_cb : ((Net.Ipv4.t * int) list -> unit) option;
-  mutable flooded : int;
   mutable spf_cache : Spf.table option;
       (* memoized SPF, invalidated on every database change; queries
          between changes must not re-run Dijkstra *)
@@ -49,7 +48,6 @@ and flood t ~except lsa =
         | None -> false
       in
       if not skip then begin
-        t.flooded <- t.flooded + 1;
         let target = n.peer in
         let from = t.router_id in
         ignore
@@ -81,7 +79,6 @@ let create engine ~router_id ?(flood_delay = Sim.Time.of_ms 1) () =
       neighbors = [];
       seq = 0;
       change_cb = None;
-      flooded = 0;
       spf_cache = None;
     }
   in
@@ -131,5 +128,3 @@ let distance_to t target = Spf.distance (spf t) target
 let next_hop_to t target = Spf.first_hop (spf t) target
 
 let on_change t f = t.change_cb <- Some f
-
-let lsas_flooded t = t.flooded

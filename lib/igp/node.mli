@@ -51,5 +51,3 @@ val next_hop_to : t -> Net.Ipv4.t -> Net.Ipv4.t option
 
 val on_change : t -> ((Net.Ipv4.t * int) list -> unit) -> unit
 (** Fires after each SPF recomputation triggered by a database change. *)
-
-val lsas_flooded : t -> int

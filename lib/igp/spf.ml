@@ -13,7 +13,6 @@ type entry = {
 type table = {
   source : Net.Ipv4.t;
   entries : entry Ip_table.t;
-  serial : int;  (* ordinal of the run that produced this table, from 1 *)
 }
 
 (* Process-wide count of Dijkstra runs. The regression tests use it to
@@ -26,7 +25,7 @@ let computed = Atomic.make 0
 let computations () = Atomic.get computed
 
 let compute ~source ~lsas =
-  let serial = 1 + Atomic.fetch_and_add computed 1 in
+  Atomic.incr computed;
   (* Index the freshest LSA per origin. *)
   let db = Ip_table.create 16 in
   List.iter
@@ -75,10 +74,9 @@ let compute ~source ~lsas =
       loop ()
   in
   loop ();
-  { source; entries; serial }
+  { source; entries }
 
 let source t = t.source
-let serial t = t.serial
 let distance t target = Option.map (fun e -> e.dist) (Ip_table.find_opt t.entries target)
 
 let first_hop t target =

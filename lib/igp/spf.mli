@@ -18,12 +18,6 @@ val compute : source:Net.Ipv4.t -> lsas:Lsa.t list -> table
 
 val source : table -> Net.Ipv4.t
 
-val serial : table -> int
-(** Ordinal (from 1, process-wide) of the SPF run that produced this
-    table. Two tables with the same serial are the same run; a cache
-    that hands back a table with an unchanged serial provably did not
-    recompute. *)
-
 val distance : table -> Net.Ipv4.t -> int option
 (** Cost of the shortest path to the target ([Some 0] for the source
     itself); [None] when unreachable. *)

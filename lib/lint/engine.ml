@@ -81,9 +81,6 @@ let lint_sources ?only ?except sources =
 
 let lint_source ~file src = (lint_sources [(file, src)]).diagnostics
 
-let lint_file ?(root = ".") path =
-  (assemble [facts_of_file ~root path]).diagnostics
-
 (* Deterministic recursive listing: relative paths, '/' separators,
    sorted at every level; _build and hidden entries skipped. *)
 let rec walk root rel acc =
@@ -104,8 +101,7 @@ let rec walk root rel acc =
   else if Filename.check_suffix rel ".ml" then rel :: acc
   else acc
 
-let ml_files root dirs =
-  List.concat_map (fun d -> List.rev (walk root d [])) dirs
+let ml_files root = List.concat_map (fun d -> List.rev (walk root d [])) ["lib"; "bin"]
 
 let missing_mli root files =
   List.filter_map
@@ -123,8 +119,8 @@ let missing_mli root files =
       else None)
     files
 
-let scan_tree ?(dirs = ["lib"; "bin"]) ?only ?except root =
-  let files = ml_files root dirs in
+let scan_tree ?only ?except root =
+  let files = ml_files root in
   let r = assemble ?only ?except (List.map (facts_of_file ~root) files) in
   let mli =
     List.filter

@@ -9,9 +9,6 @@
     per-file rules and the whole-program fact extraction over the same
     AST, and the {!Passes} stage works from facts alone. *)
 
-val rule_parse : string
-val rule_mli : string
-
 val all_rule_ids : string list
 (** Every rule id the linter can emit (per-file, whole-program,
     annotation, infrastructure), sorted — the vocabulary for
@@ -43,21 +40,11 @@ val lint_sources :
     can exercise cross-module reachability and partial-application
     checks. *)
 
-val lint_file : ?root:string -> string -> Diagnostic.t list
-(** [lint_file ?root path] lints [root]/[path] ([root] defaults to
-    ["."]). Diagnostics carry [path] as their file. *)
-
-val scan_tree :
-  ?dirs:string list ->
-  ?only:string list ->
-  ?except:string list ->
-  string ->
-  report
-(** [scan_tree root] lints every [*.ml] under [root]/[dirs] (default
-    [["lib"; "bin"]], recursively, in sorted order), runs the
-    whole-program passes, and additionally reports a warning-level
-    [missing-mli] diagnostic for any [lib/] module without an
-    interface file. [?only]/[?except] select rules by id;
+val scan_tree : ?only:string list -> ?except:string list -> string -> report
+(** [scan_tree root] lints every [*.ml] under [root]/lib and [root]/bin
+    (recursively, in sorted order), runs the whole-program passes, and
+    additionally reports a warning-level [missing-mli] diagnostic for
+    any [lib/] module without an interface file. [?only]/[?except] select rules by id;
     [parse-error] always surfaces. *)
 
 val to_json : report -> Obs.Json.t

@@ -19,10 +19,6 @@
 
     All passes walk plain facts, never ASTs, so they are cheap. *)
 
-val rule_shared : string
-val rule_cross : string
-val rule_alloc : string
-
 val rule_ids : string list
 (** The whole-program rule ids, sorted. *)
 

@@ -12,7 +12,6 @@ type t = {
   mutable epoch : int;
       (* Bumped when the link goes down; deliveries scheduled under an
          older epoch are dropped, modelling loss of in-flight frames. *)
-  mutable delivered : int;
   mutable dropped : int;
   mutable tap : (Sim.Time.t -> Ethernet.frame -> unit) option;
 }
@@ -26,7 +25,6 @@ let create engine ?(name = "link") ?(delay = Sim.Time.of_us 5) () =
     recv_a = None;
     recv_b = None;
     epoch = 0;
-    delivered = 0;
     dropped = 0;
     tap = None;
   }
@@ -53,9 +51,7 @@ let send t from frame =
     let deliver () =
       if t.up && t.epoch = epoch_at_send then
         match receiver t (other from) with
-        | Some f ->
-          t.delivered <- t.delivered + 1;
-          f frame
+        | Some f -> f frame
         | None -> t.dropped <- t.dropped + 1
       else t.dropped <- t.dropped + 1
     in
@@ -73,7 +69,4 @@ let set_up t up =
       ~category:"link" "%s: up" t.name;
   t.up <- up
 
-let is_up t = t.up
-
-let frames_delivered t = t.delivered
 let frames_dropped t = t.dropped

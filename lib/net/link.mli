@@ -32,12 +32,9 @@ val set_up : t -> bool -> unit
 (** Administrative up/down. Taking the link down drops all frames
     currently in flight and future sends until brought back up. *)
 
-val is_up : t -> bool
-
 val set_tap : t -> (Sim.Time.t -> Ethernet.frame -> unit) -> unit
 (** Physical-layer tap: observes every frame offered to the link (both
     directions, including frames later lost), at transmission time.
     One tap per link; a later call replaces the earlier one. *)
 
-val frames_delivered : t -> int
 val frames_dropped : t -> int

@@ -1,6 +1,4 @@
 type t = {
-  lo : float;
-  hi : float;
   buckets_per_decade : int;
   buckets : int array;
   mutable count : int;
@@ -9,17 +7,18 @@ type t = {
   mutable max_v : float;
 }
 
-let create ?(lo = 1e-6) ?(hi = 1e4) ?(buckets_per_decade = 20) () =
-  if lo <= 0.0 then invalid_arg "Histogram.create: lo must be positive";
-  if hi <= lo then invalid_arg "Histogram.create: hi must exceed lo";
+(* The covered range: microseconds to hours when samples are in
+   seconds. *)
+let lo = 1e-6
+let hi = 1e4
+
+let create ?(buckets_per_decade = 20) () =
   if buckets_per_decade < 1 then
     invalid_arg "Histogram.create: buckets_per_decade must be >= 1";
   let n =
     int_of_float (Float.ceil (Float.log10 (hi /. lo) *. float_of_int buckets_per_decade))
   in
   {
-    lo;
-    hi;
     buckets_per_decade;
     buckets = Array.make (Stdlib.max n 1) 0;
     count = 0;
@@ -31,14 +30,14 @@ let create ?(lo = 1e-6) ?(hi = 1e4) ?(buckets_per_decade = 20) () =
 let n_buckets t = Array.length t.buckets
 
 (* Lower bound of bucket [i]. *)
-let bound t i = t.lo *. (10.0 ** (float_of_int i /. float_of_int t.buckets_per_decade))
+let bound t i = lo *. (10.0 ** (float_of_int i /. float_of_int t.buckets_per_decade))
 
 let index_of t v =
-  if v < t.lo then 0
+  if v < lo then 0
   else
     let i =
       int_of_float
-        (Float.floor (Float.log10 (v /. t.lo) *. float_of_int t.buckets_per_decade))
+        (Float.floor (Float.log10 (v /. lo) *. float_of_int t.buckets_per_decade))
     in
     if i < 0 then 0 else if i >= n_buckets t then n_buckets t - 1 else i
 
@@ -81,11 +80,8 @@ let percentile t p =
     Float.min t.max_v (Float.max t.min_v !result)
   end
 
-let same_spec a b =
-  a.lo = b.lo && a.hi = b.hi && a.buckets_per_decade = b.buckets_per_decade
-
 let merge_into ~into t =
-  if not (same_spec into t) then
+  if into.buckets_per_decade <> t.buckets_per_decade then
     invalid_arg "Histogram.merge_into: bucket specs differ";
   Array.iteri (fun i c -> into.buckets.(i) <- into.buckets.(i) + c) t.buckets;
   into.count <- into.count + t.count;

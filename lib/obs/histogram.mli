@@ -1,18 +1,18 @@
 (** Fixed-bucket log-scale histogram (HDR-style).
 
     Buckets are spaced geometrically: [buckets_per_decade] per power of
-    ten between [lo] and [hi], so relative error is bounded by the
+    ten between 1e-6 and 1e4, so relative error is bounded by the
     bucket width (~12% at the default 20/decade) regardless of where in
     the range a sample lands. Good enough for latency percentiles at a
     constant memory cost; exact min/max are tracked on the side. *)
 
 type t
 
-val create : ?lo:float -> ?hi:float -> ?buckets_per_decade:int -> unit -> t
-(** Defaults cover 1e-6 .. 1e4 (microseconds to hours when samples are
-    in seconds) with 20 buckets per decade. Samples outside the range
-    clamp to the first/last bucket. Raises [Invalid_argument] if
-    [lo <= 0], [hi <= lo] or [buckets_per_decade < 1]. *)
+val create : ?buckets_per_decade:int -> unit -> t
+(** Buckets cover 1e-6 .. 1e4 (microseconds to hours when samples are in
+    seconds), 20 per decade by default. Samples outside the range clamp
+    to the first/last bucket. Raises [Invalid_argument] if
+    [buckets_per_decade < 1]. *)
 
 val observe : t -> float -> unit
 (** Non-finite samples are dropped; negatives clamp to the lowest

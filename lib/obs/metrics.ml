@@ -37,11 +37,8 @@ let counter_value c = c.n
 let gauge t name = get_or_create t.gauges name (fun () -> { v = 0.0 })
 let set g v = g.v <- v
 let add g v = g.v <- g.v +. v
-let gauge_value g = g.v
 
-let histogram ?lo ?hi ?buckets_per_decade t name =
-  get_or_create t.histograms name (fun () ->
-      Histogram.create ?lo ?hi ?buckets_per_decade ())
+let histogram t name = get_or_create t.histograms name (fun () -> Histogram.create ())
 
 let find_counter t name =
   Option.map (fun c -> c.n) (Hashtbl.find_opt t.counters name)
@@ -58,8 +55,7 @@ module Scope = struct
   let counter t name = counter t.registry (full t name)
   let gauge t name = gauge t.registry (full t name)
 
-  let histogram ?lo ?hi ?buckets_per_decade t name =
-    histogram ?lo ?hi ?buckets_per_decade t.registry (full t name)
+  let histogram t name = histogram t.registry (full t name)
 end
 
 let sorted_keys table =

@@ -25,11 +25,9 @@ val counter_value : counter -> int
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 
-val histogram :
-  ?lo:float -> ?hi:float -> ?buckets_per_decade:int -> t -> string -> Histogram.t
-(** Get-or-create; the bucket spec only applies on creation. *)
+val histogram : t -> string -> Histogram.t
+(** Get-or-create, with {!Histogram.create}'s default buckets. *)
 
 val find_counter : t -> string -> int option
 val find_gauge : t -> string -> float option
@@ -45,8 +43,7 @@ module Scope : sig
   val counter : t -> string -> counter
   val gauge : t -> string -> gauge
 
-  val histogram :
-    ?lo:float -> ?hi:float -> ?buckets_per_decade:int -> t -> string -> Histogram.t
+  val histogram : t -> string -> Histogram.t
 end
 
 val to_json : t -> Json.t

@@ -29,7 +29,5 @@ val to_list : 'a t -> 'a list
 val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. *)
 
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
 val clear : 'a t -> unit
 (** Drops every element and resets [total]/[dropped]. *)

@@ -273,12 +273,6 @@ let entries t =
 let size t = t.size
 let lookups t = t.lookups
 
-let clear t =
-  Hashtbl.reset t.buckets;
-  t.priorities <- [];
-  Strict_index.reset t.index;
-  t.size <- 0
-
 let pp ppf t =
   List.iter
     (fun e ->

@@ -86,6 +86,4 @@ val size : t -> int
 val lookups : t -> int
 (** Total [lookup] calls since creation (hits and misses). *)
 
-val clear : t -> unit
-
 val pp : Format.formatter -> t -> unit

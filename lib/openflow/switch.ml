@@ -6,9 +6,7 @@ type control_op =
 type t = {
   engine : Sim.Engine.t;
   name : string;
-  datapath_id : int64;
   flow_mod_latency : Sim.Time.t;
-  forward_latency : Sim.Time.t;
   table : Flow_table.t;
   port_tx : (Net.Ethernet.frame -> unit) option array;
   mutable controllers : (Message.t -> unit) list; (* reversed registration order *)
@@ -29,17 +27,16 @@ let trace t fmt =
   Sim.Trace.emitf (Sim.Engine.trace t.engine) (Sim.Engine.now t.engine)
     ~category:"openflow" fmt
 
-let create engine ?(name = "switch") ?(datapath_id = 1L)
-    ?(flow_mod_latency = Sim.Time.of_ms 2) ?(forward_latency = Sim.Time.of_us 4)
-    ~n_ports () =
+(* Store-and-forward plus pipeline time of one frame. *)
+let forward_latency = Sim.Time.of_us 4
+
+let create engine ?(name = "switch") ?(flow_mod_latency = Sim.Time.of_ms 2) ~n_ports () =
   if n_ports <= 0 then invalid_arg "Switch.create: n_ports";
   let scope = Obs.Metrics.Scope.v (Sim.Engine.metrics engine) ("switch." ^ name) in
   {
     engine;
     name;
-    datapath_id;
     flow_mod_latency;
-    forward_latency;
     table = Flow_table.create ();
     port_tx = Array.make n_ports None;
     controllers = [];
@@ -121,7 +118,7 @@ let receive t ~port frame =
   | [] -> ()
   | outs ->
     ignore
-      (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
+      (Sim.Engine.schedule_after t.engine forward_latency (fun () ->
            List.iter (fun (out_port, f) -> output t out_port f) outs))
 
 (* Batched data-plane input: one flow-table traversal setup
@@ -148,7 +145,7 @@ let receive_batch t ~port frames =
     | [] -> ()
     | outs ->
       ignore
-        (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
+        (Sim.Engine.schedule_after t.engine forward_latency (fun () ->
              List.iter (fun (out_port, f) -> output t out_port f) outs))
   end
 
@@ -247,7 +244,7 @@ let handle_controller_message t reply_to msg =
   | Message.Features_request ->
     reply_to
       (Message.Features_reply
-         { datapath_id = t.datapath_id; n_ports = Array.length t.port_tx })
+         { datapath_id = 1L; n_ports = Array.length t.port_tx })
   | Message.Flow_mod fm -> enqueue_control t (Op_flow_mod fm)
   | Message.Barrier_request xid -> enqueue_control t (Op_barrier (xid, reply_to))
   | Message.Packet_out { actions; frame } ->

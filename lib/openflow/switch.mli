@@ -16,14 +16,13 @@ type t
 val create :
   Sim.Engine.t ->
   ?name:string ->
-  ?datapath_id:int64 ->
   ?flow_mod_latency:Sim.Time.t ->
-  ?forward_latency:Sim.Time.t ->
   n_ports:int ->
   unit ->
   t
-(** Defaults: [flow_mod_latency] 2 ms (hardware TCAM update),
-    [forward_latency] 4 µs (store-and-forward + pipeline). *)
+(** [flow_mod_latency] defaults to 2 ms (hardware TCAM update).
+    Forwarding a frame takes 4 µs (store-and-forward + pipeline), and
+    the switch answers a features request with datapath id 1. *)
 
 val name : t -> string
 val table : t -> Flow_table.t

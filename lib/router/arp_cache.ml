@@ -76,6 +76,4 @@ let learn t ip mac =
     (match p.retry_task with Some h -> Sim.Engine.cancel h | None -> ());
     List.iter (fun k -> k mac) (List.rev p.waiters)
 
-let flush t = Ip_table.reset t.cache
-
 let pending_count t = Ip_table.length t.pending

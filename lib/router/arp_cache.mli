@@ -29,7 +29,4 @@ val learn : t -> Net.Ipv4.t -> Net.Mac.t -> unit
 
 val lookup : t -> Net.Ipv4.t -> Net.Mac.t option
 
-val flush : t -> unit
-(** Drops all cached bindings (pending resolutions are kept). *)
-
 val pending_count : t -> int

@@ -6,7 +6,6 @@ type t = {
   arp : Arp_cache.t;
   tx : (Net.Ethernet.frame -> unit) option ref;
   mutable udp_cb : (src:Net.Ipv4.t -> Net.Udp.t -> unit) option;
-  mutable udp_received : int;
 }
 
 let create engine ~name ~mac ~ip () =
@@ -18,7 +17,7 @@ let create engine ~name ~mac ~ip () =
          (Net.Ethernet.Arp (Net.Arp.request ~sender_mac:mac ~sender_ip:ip ~target_ip:target)))
   in
   let arp = Arp_cache.create engine ~name:(name ^ ".arp") ~send_request () in
-  { engine; name; mac; ip; arp; tx; udp_cb = None; udp_received = 0 }
+  { engine; name; mac; ip; arp; tx; udp_cb = None }
 
 let transmit t frame = match !(t.tx) with Some f -> f frame | None -> ()
 
@@ -41,7 +40,6 @@ let receive t (frame : Net.Ethernet.frame) =
     | Net.Ethernet.Ipv4 p when Net.Ipv4.equal p.dst t.ip -> (
       match p.payload with
       | Net.Ipv4_packet.Udp u ->
-        t.udp_received <- t.udp_received + 1;
         (match t.udp_cb with Some f -> f ~src:p.src u | None -> ())
       | Net.Ipv4_packet.Raw _ -> ())
     | Net.Ethernet.Ipv4 _ -> ()
@@ -59,5 +57,3 @@ let send_udp t ~dst ~src_port ~dst_port payload =
         (Net.Ethernet.make ~src:t.mac ~dst:dst_mac (Net.Ethernet.Ipv4 packet)))
 
 let on_udp t f = t.udp_cb <- Some f
-
-let udp_received t = t.udp_received

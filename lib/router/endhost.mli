@@ -34,5 +34,3 @@ val on_udp : t -> (src:Net.Ipv4.t -> Net.Udp.t -> unit) -> unit
 
 val receive : t -> Net.Ethernet.frame -> unit
 (** Direct data-plane input (used when wiring without a {!Net.Link}). *)
-
-val udp_received : t -> int

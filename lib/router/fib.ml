@@ -18,8 +18,10 @@ type t = {
   mutable observer : (op -> unit) option;
 }
 
+let default_per_entry_latency = Sim.Time.of_us 281
+
 let create engine ?(name = "fib") ?(batch_start_latency = Sim.Time.of_ms 280)
-    ?(per_entry_latency = Sim.Time.of_us 281) () =
+    ?(per_entry_latency = default_per_entry_latency) () =
   {
     engine;
     name;

@@ -23,6 +23,11 @@ val create :
   ?per_entry_latency:Sim.Time.t ->
   unit ->
   t
+(** Defaults: [batch_start_latency] 280 ms, [per_entry_latency]
+    {!default_per_entry_latency}. *)
+
+val default_per_entry_latency : Sim.Time.t
+(** 281 µs, the Nexus 7k's time per FIB entry. *)
 
 val enqueue : t -> op -> unit
 (** Appends to the update queue. If the engine is idle a new batch

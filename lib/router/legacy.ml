@@ -27,7 +27,6 @@ type t = {
   arp : Arp_cache.t;
   speaker : Bgp.Speaker.t;
   rib : Bgp.Rib.t;
-  forward_latency : Sim.Time.t;
   bfd_by_remote : Bfd.Session.t Ip_table.t;
   mutable failure_cb : (Bgp.Speaker.peer -> unit) option;
   mutable import_local_pref : (int * int) list; (* peer_id, local_pref *)
@@ -36,7 +35,6 @@ type t = {
   mutable forwarded : int;
   mutable no_route : int;
   mutable ttl_expired : int;
-  mutable local : int;
 }
 
 let trace t fmt =
@@ -55,8 +53,11 @@ let interface_for_next_hop t nh =
   | Some i -> i.index
   | None -> 0
 
+(* Per-packet data-plane transit time. *)
+let forward_latency = Sim.Time.of_us 10
+
 let create engine ~name ~asn ~router_id ~interfaces ?fib_batch_start_latency
-    ?fib_per_entry_latency ?(forward_latency = Sim.Time.of_us 10) () =
+    ?fib_per_entry_latency () =
   if interfaces = [] then invalid_arg "Router.create: no interfaces";
   let interfaces =
     Array.of_list
@@ -84,7 +85,6 @@ let create engine ~name ~asn ~router_id ~interfaces ?fib_batch_start_latency
       arp = Arp_cache.create engine ~name:(name ^ ".arp") ~send_request:send_arp_request ();
       speaker = Bgp.Speaker.create engine ~name ~asn ~router_id ();
       rib = Bgp.Rib.create ();
-      forward_latency;
       bfd_by_remote = Ip_table.create 8;
       failure_cb = None;
       import_local_pref = [];
@@ -93,7 +93,6 @@ let create engine ~name ~asn ~router_id ~interfaces ?fib_batch_start_latency
       forwarded = 0;
       no_route = 0;
       ttl_expired = 0;
-      local = 0;
     }
   in
   tx_holder := (fun ~interface frame -> transmit t interface frame);
@@ -172,13 +171,9 @@ let create engine ~name ~asn ~router_id ~interfaces ?fib_batch_start_latency
 
 let name t = t.name
 let speaker t = t.speaker
-let rib t = t.rib
 let fib t = t.fib
-let interface_mac t i = t.interfaces.(i).mac
-let interface_ip t i = t.interfaces.(i).ip
 
 let local_deliver t (p : Net.Ipv4_packet.t) =
-  t.local <- t.local + 1;
   match p.payload with
   | Net.Ipv4_packet.Udp u when u.Net.Udp.dst_port = Bfd.Packet.udp_port -> (
     match Ip_table.find_opt t.bfd_by_remote p.src with
@@ -215,7 +210,7 @@ let forward t (p : Net.Ipv4_packet.t) =
   | None -> ()
   | Some (interface, out) ->
     ignore
-      (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
+      (Sim.Engine.schedule_after t.engine forward_latency (fun () ->
            transmit t interface out))
 
 let receive t ~interface (frame : Net.Ethernet.frame) =
@@ -229,7 +224,7 @@ let receive t ~interface (frame : Net.Ethernet.frame) =
       | Net.Arp.Request when Net.Ipv4.equal a.target_ip iface.ip ->
         let reply = Net.Arp.reply a ~sender_mac:iface.mac in
         ignore
-          (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
+          (Sim.Engine.schedule_after t.engine forward_latency (fun () ->
                transmit t interface
                  (Net.Ethernet.make ~src:iface.mac ~dst:a.sender_mac
                     (Net.Ethernet.Arp reply))))
@@ -270,15 +265,15 @@ let receive_batch t ~interface frames =
   | [] -> ()
   | outs ->
     ignore
-      (Sim.Engine.schedule_after t.engine t.forward_latency (fun () ->
+      (Sim.Engine.schedule_after t.engine forward_latency (fun () ->
            List.iter (fun (i, frame) -> transmit t i frame) outs))
 
 let connect_interface t index link side =
   t.interfaces.(index).tx <- Some (fun frame -> Net.Link.send link side frame);
   Net.Link.attach link side (fun frame -> receive t ~interface:index frame)
 
-let add_bgp_peer t ~name ~channel ~side ?import_local_pref ?hold_time () =
-  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side ?hold_time () in
+let add_bgp_peer t ~name ~channel ~side ?import_local_pref () =
+  let peer = Bgp.Speaker.add_peer t.speaker ~name ~channel ~side in
   (match import_local_pref with
   | Some lp -> t.import_local_pref <- (peer.Bgp.Speaker.id, lp) :: t.import_local_pref
   | None -> ());
@@ -286,7 +281,7 @@ let add_bgp_peer t ~name ~channel ~side ?import_local_pref ?hold_time () =
 
 let on_peer_failure t f = t.failure_cb <- Some f
 
-let enable_bfd t ~peer ~remote_ip ~interface ?detect_mult ?tx_interval () =
+let enable_bfd t ~peer ~remote_ip ~interface ?tx_interval () =
   let iface = t.interfaces.(interface) in
   let discriminator = Int32.of_int (Ip_table.length t.bfd_by_remote + 1) in
   let send pkt =
@@ -303,7 +298,7 @@ let enable_bfd t ~peer ~remote_ip ~interface ?detect_mult ?tx_interval () =
   let session =
     Bfd.Session.create t.engine
       ~name:(Fmt.str "%s-bfd-%a" t.name Net.Ipv4.pp remote_ip)
-      ~local_discriminator:discriminator ?detect_mult ?tx_interval ~send ()
+      ~local_discriminator:discriminator ?tx_interval ~send ()
   in
   Ip_table.replace t.bfd_by_remote remote_ip session;
   Bfd.Session.on_state_change session (fun state _diag ->
@@ -323,4 +318,3 @@ let enable_bfd t ~peer ~remote_ip ~interface ?detect_mult ?tx_interval () =
 let packets_forwarded t = t.forwarded
 let packets_no_route t = t.no_route
 let packets_ttl_expired t = t.ttl_expired
-let packets_local t = t.local

@@ -34,19 +34,14 @@ val create :
   interfaces:interface_config list ->
   ?fib_batch_start_latency:Sim.Time.t ->
   ?fib_per_entry_latency:Sim.Time.t ->
-  ?forward_latency:Sim.Time.t ->
   unit ->
   t
-(** [forward_latency] (default 10 µs) is the per-packet data-plane
-    transit time. FIB latencies default to the Nexus 7k calibration of
-    {!Fib.create}. *)
+(** Forwarding a packet takes 10 µs. FIB latencies default to the
+    Nexus 7k calibration of {!Fib.create}. *)
 
 val name : t -> string
 val speaker : t -> Bgp.Speaker.t
-val rib : t -> Bgp.Rib.t
 val fib : t -> Fib.t
-val interface_mac : t -> int -> Net.Mac.t
-val interface_ip : t -> int -> Net.Ipv4.t
 
 val connect_interface : t -> int -> Net.Link.t -> Net.Link.side -> unit
 
@@ -56,7 +51,6 @@ val add_bgp_peer :
   channel:Bgp.Channel.t ->
   side:Bgp.Channel.side ->
   ?import_local_pref:int ->
-  ?hold_time:int ->
   unit ->
   Bgp.Speaker.peer
 (** Adds a BGP peering; [import_local_pref] is an import policy setting
@@ -69,7 +63,6 @@ val enable_bfd :
   peer:Bgp.Speaker.peer ->
   remote_ip:Net.Ipv4.t ->
   interface:int ->
-  ?detect_mult:int ->
   ?tx_interval:Sim.Time.t ->
   unit ->
   Bfd.Session.t
@@ -97,4 +90,3 @@ val on_peer_failure : t -> (Bgp.Speaker.peer -> unit) -> unit
 val packets_forwarded : t -> int
 val packets_no_route : t -> int
 val packets_ttl_expired : t -> int
-val packets_local : t -> int

@@ -11,7 +11,6 @@ type t = {
   asn : Bgp.Asn.t;
   mac : Net.Mac.t;
   ip : Net.Ipv4.t;
-  bfd_detect_mult : int option;
   bfd_tx_interval : Sim.Time.t option;
   speaker : Bgp.Speaker.t;
   bfd_responders : Bfd.Session.t Ip_table.t;
@@ -22,14 +21,13 @@ type t = {
   mutable next_discriminator : int32;
 }
 
-let create engine ~name ~asn ~mac ~ip ?bfd_detect_mult ?bfd_tx_interval () =
+let create engine ~name ~asn ~mac ~ip ?bfd_tx_interval () =
   {
     engine;
     name;
     asn;
     mac;
     ip;
-    bfd_detect_mult;
     bfd_tx_interval;
     speaker = Bgp.Speaker.create engine ~name ~asn ~router_id:ip ();
     bfd_responders = Ip_table.create 4;
@@ -46,8 +44,8 @@ let ip t = t.ip
 let asn t = t.asn
 let speaker t = t.speaker
 
-let add_bgp_peer t ~name ~channel ~side ?hold_time () =
-  Bgp.Speaker.add_peer t.speaker ~name ~channel ~side ?hold_time ()
+let add_bgp_peer t ~name ~channel ~side =
+  Bgp.Speaker.add_peer t.speaker ~name ~channel ~side
 
 let announce_to_all t update =
   List.iter
@@ -80,8 +78,7 @@ let bfd_responder t remote_ip =
     let session =
       Bfd.Session.create t.engine
         ~name:(Fmt.str "%s-bfd-%a" t.name Net.Ipv4.pp remote_ip)
-        ~local_discriminator:discriminator ?detect_mult:t.bfd_detect_mult
-        ?tx_interval:t.bfd_tx_interval ~send ()
+        ~local_discriminator:discriminator ?tx_interval:t.bfd_tx_interval ~send ()
     in
     Bfd.Session.enable session;
     Ip_table.replace t.bfd_responders remote_ip session;

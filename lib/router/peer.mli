@@ -14,11 +14,10 @@ val create :
   asn:Bgp.Asn.t ->
   mac:Net.Mac.t ->
   ip:Net.Ipv4.t ->
-  ?bfd_detect_mult:int ->
   ?bfd_tx_interval:Sim.Time.t ->
   unit ->
   t
-(** [ip] doubles as the BGP router-id. BFD parameters apply to the
+(** [ip] doubles as the BGP router-id. [bfd_tx_interval] applies to the
     responder sessions it creates. *)
 
 val name : t -> string
@@ -33,8 +32,6 @@ val add_bgp_peer :
   name:string ->
   channel:Bgp.Channel.t ->
   side:Bgp.Channel.side ->
-  ?hold_time:int ->
-  unit ->
   Bgp.Speaker.peer
 
 val announce_to_all : t -> Bgp.Message.update -> unit

@@ -19,16 +19,14 @@ type t = {
   no_event : event;  (* never queued, never returned *)
 }
 
-let create ?(seed = 1L) ?trace ?metrics () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let metrics = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+let create ?(seed = 1L) () =
   let no_event = { at = Time.zero; run = ignore; cancelled = true } in
   {
     clock = Time.zero;
     queue = Heap.create ~cmp:(fun a b -> Time.compare a.at b.at) ();
     root_rng = Rng.create ~seed;
-    trace;
-    metrics;
+    trace = Trace.create ();
+    metrics = Obs.Metrics.create ();
     processed = 0;
     latest = no_event;
     no_event;

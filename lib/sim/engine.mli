@@ -24,11 +24,11 @@ type t
 type handle
 (** A scheduled event, usable for cancellation. *)
 
-val create : ?seed:int64 -> ?trace:Trace.t -> ?metrics:Obs.Metrics.t -> unit -> t
+val create : ?seed:int64 -> unit -> t
 (** [create ()] is a fresh engine at time {!Time.zero}. [seed] (default
-    [1L]) seeds the engine's root {!Rng}; [trace] (default a fresh enabled
-    trace) receives component events; [metrics] (default a fresh registry)
-    collects the run's counters, gauges and histograms. *)
+    [1L]) seeds the engine's root {!Rng}; a fresh enabled {!trace}
+    receives component events and a fresh registry, {!metrics}, collects
+    the run's counters, gauges and histograms. *)
 
 val now : t -> Time.t
 

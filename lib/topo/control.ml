@@ -39,7 +39,6 @@ type t = {
   extern_alive : bool array;  (** controller belief, fed by router signals *)
   dirty : unit Prefix_tbl.t;
   mutable rebind_handle : Sim.Engine.handle option;
-  rebind_delay : Sim.Time.t;
   activity : int ref;
   mutable reflects_sent : int;
   mutable fast_repoints : int;
@@ -216,10 +215,13 @@ let rebind_pass t =
     t.clients;
   bump t
 
+(* Debounce between a BGP or LSDB change and the rebind pass. *)
+let rebind_delay = Sim.Time.of_ms 25
+
 let schedule_rebind t =
   if Option.is_none t.rebind_handle then
     t.rebind_handle <-
-      Some (Sim.Engine.schedule_after t.engine t.rebind_delay (fun () -> rebind_pass t))
+      Some (Sim.Engine.schedule_after t.engine rebind_delay (fun () -> rebind_pass t))
 
 let mark_dirty t prefix =
   Prefix_tbl.replace t.dirty prefix ();
@@ -361,7 +363,7 @@ let resync_router t index =
 
 (* --- wiring -------------------------------------------------------------- *)
 
-let create engine ~spec ~activity ?(rebind_delay = Sim.Time.of_ms 25) () =
+let create engine ~spec ~activity =
   let t =
     {
       engine;
@@ -376,7 +378,6 @@ let create engine ~spec ~activity ?(rebind_delay = Sim.Time.of_ms 25) () =
       extern_alive = Array.make (max 1 (Spec.n_externs spec)) true;
       dirty = Prefix_tbl.create 64;
       rebind_handle = None;
-      rebind_delay;
       activity;
       reflects_sent = 0;
       fast_repoints = 0;
@@ -398,7 +399,7 @@ let add_client t ~router ~channel ~side ~link =
   let peer =
     Bgp.Speaker.add_peer t.speaker
       ~name:t.spec.Spec.nodes.(index).Spec.name
-      ~channel ~side ()
+      ~channel ~side
   in
   let c_sc =
     if Router.supercharged router then
@@ -421,9 +422,3 @@ let add_client t ~router ~channel ~side ~link =
 
 let start t = Bgp.Speaker.start t.speaker
 let quiescent t = Option.is_none t.rebind_handle
-
-let controlled_entry t ~router prefix =
-  match client t router with
-  | None -> None
-  | Some { c_sc = Some sc; _ } -> Prefix_tbl.find_opt sc.sc_entries prefix
-  | Some { c_sc = None; _ } -> None

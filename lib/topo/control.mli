@@ -22,17 +22,13 @@
 
 type t
 
-val controller_id : Net.Ipv4.t
-
 val create :
   Sim.Engine.t ->
   spec:Spec.t ->
   activity:int ref ->
-  ?rebind_delay:Sim.Time.t ->
-  unit ->
   t
-(** [rebind_delay] (default 25 ms) debounces the background pass that
-    re-derives per-prefix group bindings after BGP or LSDB changes. *)
+(** A 25 ms debounce precedes the background pass that re-derives
+    per-prefix group bindings after BGP or LSDB changes. *)
 
 val add_client :
   t ->
@@ -46,17 +42,6 @@ val add_client :
 
 val start : t -> unit
 
-val receive_lsa : t -> Igp.Lsa.t -> unit
-(** Management-plane LSA feed (normally called through the link). *)
-
-val extern_event : t -> extern:int -> bool -> unit
-(** A router's fast-detection verdict about one of its external peers.
-    Triggers the immediate fast-path re-point on every supercharged
-    router, then a debounced rebind. *)
-
-val prune_client : t -> index:int -> Net.Prefix.t list -> unit
-(** Part of resync: drop any advert from that client not in the list. *)
-
 val resync_router : t -> int -> unit
 (** Full controller→router state re-send — re-reflection of every best
     route, provisioner resync, entry re-push. Runs on (re-)establishment
@@ -64,10 +49,6 @@ val resync_router : t -> int -> unit
 
 val quiescent : t -> bool
 (** No debounced rebind pass is pending. *)
-
-val controlled_entry : t -> router:int -> Net.Prefix.t -> Router.entry option
-(** The controller's shadow of a supercharged router's FIB entry (what
-    the router will hold once pushes land) — checker visibility. *)
 
 val lsdb : t -> Igp.Database.t
 val speaker : t -> Bgp.Speaker.t

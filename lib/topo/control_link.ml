@@ -1,11 +1,13 @@
 type t = {
   engine : Sim.Engine.t;
-  latency : Sim.Time.t;
   faults : Sim.Faults.t;
 }
 
-let create engine ~name ~seed ?(latency = Sim.Time.of_ms 1) () =
-  { engine; latency; faults = Sim.Faults.create engine ~name ~seed Sim.Faults.none }
+(* Management-network RTT/2. *)
+let latency = Sim.Time.of_ms 1
+
+let create engine ~name ~seed =
+  { engine; faults = Sim.Faults.create engine ~name ~seed Sim.Faults.none }
 
 let faults t = t.faults
 
@@ -15,7 +17,7 @@ let send t f =
   | Sim.Faults.Deliver extras ->
     List.iter
       (fun extra ->
-        ignore (Sim.Engine.schedule_after t.engine (Sim.Time.add t.latency extra) f))
+        ignore (Sim.Engine.schedule_after t.engine (Sim.Time.add latency extra) f))
       extras
 
 let partition t ~from ~until =

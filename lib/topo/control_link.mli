@@ -11,9 +11,8 @@
 
 type t
 
-val create :
-  Sim.Engine.t -> name:string -> seed:int64 -> ?latency:Sim.Time.t -> unit -> t
-(** [latency] defaults to 1 ms (management-network RTT/2). *)
+val create : Sim.Engine.t -> name:string -> seed:int64 -> t
+(** Commands take 1 ms to cross the link (management-network RTT/2). *)
 
 val faults : t -> Sim.Faults.t
 (** The link's injector — attach it to the iBGP channel too. *)

@@ -32,8 +32,6 @@ type t = {
   links_up : bool array;  (** ground truth *)
   extern_alive : bool array;  (** ground truth *)
   announced : (Net.Prefix.t * Bgp.Attributes.t) list array;  (** per extern *)
-  detect_delay : Sim.Time.t;
-  igp_detect : Sim.Time.t;
   activity : int ref;
 }
 
@@ -47,27 +45,21 @@ let link_up t l = t.links_up.(l)
 let extern_alive t k = t.extern_alive.(k)
 let announced t k = t.announced.(k)
 
-let build engine ?(ctl_latency = Sim.Time.of_ms 1) ?(detect_delay = Sim.Time.of_ms 30)
-    ?(igp_detect = Sim.Time.of_ms 30) ?fib_batch_start ?fib_per_entry ?rebind_delay
-    (spec : Spec.t) =
+let build engine (spec : Spec.t) =
   let n = Spec.n_routers spec in
   let activity = ref 0 in
-  let routers =
-    Array.init n (fun index ->
-        Router.create engine ~spec ~index ~activity ?fib_batch_start ?fib_per_entry ())
-  in
+  let routers = Array.init n (fun index -> Router.create engine ~spec ~index ~activity) in
   Array.iter
     (fun { Spec.ends = a, b; cost; srlg = _ } ->
       Igp.Node.connect ~a:(Router.igp routers.(a)) ~b:(Router.igp routers.(b)) ~cost)
     spec.Spec.links;
-  let control = Control.create engine ~spec ~activity ?rebind_delay () in
+  let control = Control.create engine ~spec ~activity in
   let ctl_links =
     Array.init n (fun i ->
         let link =
           Control_link.create engine
             ~name:(Fmt.str "ctl%d" i)
             ~seed:(Int64.of_int (7001 + i))
-            ~latency:ctl_latency ()
         in
         let channel = Bgp.Channel.create engine ~name:(Fmt.str "ibgp%d" i) () in
         Bgp.Channel.set_faults channel (Control_link.faults link);
@@ -84,8 +76,6 @@ let build engine ?(ctl_latency = Sim.Time.of_ms 1) ?(detect_delay = Sim.Time.of_
     links_up = Array.make (Array.length spec.Spec.links) true;
     extern_alive = Array.make (max 1 (Spec.n_externs spec)) true;
     announced = Array.make (max 1 (Spec.n_externs spec)) [];
-    detect_delay;
-    igp_detect;
     activity;
   }
 
@@ -111,12 +101,17 @@ let announce_extern t ~extern prefixes =
 
 (* --- fault events -------------------------------------------------------- *)
 
+(* The BFD-style lag between an external peer's real failure or recovery
+   and its host router noticing, and the same for a link and the IGP. *)
+let detect_delay = Sim.Time.of_ms 30
+let igp_detect = Sim.Time.of_ms 30
+
 let fail_extern t ~extern =
   if t.extern_alive.(extern) then begin
     t.extern_alive.(extern) <- false;
     let host = t.spec.Spec.externs.(extern).Spec.at in
     ignore
-      (Sim.Engine.schedule_after t.engine t.detect_delay (fun () ->
+      (Sim.Engine.schedule_after t.engine detect_delay (fun () ->
            Router.detect_extern_down t.routers.(host) ~extern))
   end
 
@@ -125,7 +120,7 @@ let recover_extern t ~extern =
     t.extern_alive.(extern) <- true;
     let host = t.spec.Spec.externs.(extern).Spec.at in
     ignore
-      (Sim.Engine.schedule_after t.engine t.detect_delay (fun () ->
+      (Sim.Engine.schedule_after t.engine detect_delay (fun () ->
            Router.detect_extern_up t.routers.(host) ~extern))
   end
 
@@ -134,7 +129,7 @@ let fail_link t ~link =
     t.links_up.(link) <- false;
     let { Spec.ends = a, b; _ } = t.spec.Spec.links.(link) in
     ignore
-      (Sim.Engine.schedule_after t.engine t.igp_detect (fun () ->
+      (Sim.Engine.schedule_after t.engine igp_detect (fun () ->
            if not t.links_up.(link) then
              Igp.Node.disconnect ~a:(Router.igp t.routers.(a))
                ~b:(Router.igp t.routers.(b))))
@@ -145,7 +140,7 @@ let recover_link t ~link =
     t.links_up.(link) <- true;
     let { Spec.ends = a, b; cost; _ } = t.spec.Spec.links.(link) in
     ignore
-      (Sim.Engine.schedule_after t.engine t.igp_detect (fun () ->
+      (Sim.Engine.schedule_after t.engine igp_detect (fun () ->
            if t.links_up.(link) then
              Igp.Node.connect ~a:(Router.igp t.routers.(a))
                ~b:(Router.igp t.routers.(b)) ~cost))
@@ -235,7 +230,8 @@ let measure t ~flows ~step ~until =
 let busy t =
   Array.exists Router.busy t.routers || not (Control.quiescent t.control)
 
-let settle t ?(slice = Sim.Time.of_ms 25) ?(budget = Sim.Time.of_sec 60.) () =
+let settle t ?(budget = Sim.Time.of_sec 60.) () =
+  let slice = Sim.Time.of_ms 25 in
   let deadline = Sim.Time.add (Sim.Engine.now t.engine) budget in
   let rec loop last stable =
     let now = Sim.Engine.now t.engine in

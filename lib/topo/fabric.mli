@@ -21,19 +21,12 @@ val outcome_equal : outcome -> outcome -> bool
 
 type t
 
-val build :
-  Sim.Engine.t ->
-  ?ctl_latency:Sim.Time.t ->
-  ?detect_delay:Sim.Time.t ->
-  ?igp_detect:Sim.Time.t ->
-  ?fib_batch_start:Sim.Time.t ->
-  ?fib_per_entry:Sim.Time.t ->
-  ?rebind_delay:Sim.Time.t ->
-  Spec.t ->
-  t
-(** [detect_delay] (default 30 ms) is the BFD-style lag between an
-    external peer's real failure and its host router noticing;
-    [igp_detect] the same for links. *)
+val build : Sim.Engine.t -> Spec.t -> t
+(** An external peer's real failure or recovery reaches its host router
+    30 ms later (BFD-style detection), and a link's reaches the IGP
+    30 ms later too. Management commands cross a {!Control_link} in
+    1 ms; router and controller timings are those of {!Router.create}
+    and {!Control.create}. *)
 
 val start : t -> unit
 
@@ -93,9 +86,8 @@ val measure :
     {!outcome} per slice; a slice whose sample is not [Delivered] counts
     as outage. Returns per-flow accumulated outage. *)
 
-val busy : t -> bool
-
-val settle : t -> ?slice:Sim.Time.t -> ?budget:Sim.Time.t -> unit -> bool
+val settle : t -> ?budget:Sim.Time.t -> unit -> bool
 (** Run until the network is quiescent: the activity counter stable
-    across consecutive slices with no router busy and no rebind pending.
+    across consecutive 25 ms slices with no router busy and no rebind
+    pending.
     [false] if the budget (default 60 s simulated) runs out first. *)

@@ -38,19 +38,15 @@ type t = {
   prov : Prov.t option;  (** supercharged only *)
   fib : entry Prefix_tbl.t;
   (* Plain-path FIB model: updates are queued and applied at the legacy
-     router's pace — [fib_batch_start] to begin a burst, [fib_per_entry]
-     between entries (the paper's per-prefix FIB write cost). *)
+     router's pace (see [fib_batch_start] and [fib_per_entry]). *)
   intent : entry option Prefix_tbl.t;  (** what the queue will converge to *)
   fib_queue : (Net.Prefix.t * entry option) Queue.t;
   mutable fib_draining : bool;
-  fib_batch_start : Sim.Time.t;
-  fib_per_entry : Sim.Time.t;
   mutable fib_ops_applied : int;
   advertised : Bgp.Attributes.t Prefix_tbl.t;  (** what we told the reflector *)
   local_routes : (Net.Prefix.t * Bgp.Attributes.t) list array;  (** per extern *)
   ext_alive : bool array;  (** this router's belief about its local externs *)
   mutable revalidate_pending : bool;
-  revalidate_delay : Sim.Time.t;
   mutable last_lsa_seq_sent : int;
   activity : int ref;
   (* Wired by Net.build: the management path towards the controller. *)
@@ -72,6 +68,11 @@ let bump t = incr t.activity
 
 (* --- the plain FIB write queue ----------------------------------------- *)
 
+(* A burst starts 10 ms after the first queued write; entries then land
+   281 µs apart, the paper's per-prefix FIB write cost. *)
+let fib_batch_start = Sim.Time.of_ms 10
+let fib_per_entry = Sim.Time.of_us 281
+
 let apply_fib t prefix = function
   | None -> Prefix_tbl.remove t.fib prefix
   | Some e -> Prefix_tbl.replace t.fib prefix e
@@ -83,7 +84,7 @@ let rec drain_fib t =
     apply_fib t prefix e;
     t.fib_ops_applied <- t.fib_ops_applied + 1;
     bump t;
-    ignore (Sim.Engine.schedule_after t.engine t.fib_per_entry (fun () -> drain_fib t))
+    ignore (Sim.Engine.schedule_after t.engine fib_per_entry (fun () -> drain_fib t))
 
 let enqueue_fib t prefix e =
   let current =
@@ -102,7 +103,7 @@ let enqueue_fib t prefix e =
     Queue.add (prefix, e) t.fib_queue;
     if not t.fib_draining then begin
       t.fib_draining <- true;
-      ignore (Sim.Engine.schedule_after t.engine t.fib_batch_start (fun () -> drain_fib t))
+      ignore (Sim.Engine.schedule_after t.engine fib_batch_start (fun () -> drain_fib t))
     end
   end
 
@@ -202,8 +203,6 @@ let detect_extern_up t ~extern =
     t.send_extern_event extern true
   end
 
-let extern_believed_alive t ~extern = t.ext_alive.(extern)
-
 (* --- iBGP from the reflector -------------------------------------------- *)
 
 let handle_rr_update t (u : Bgp.Message.update) =
@@ -257,6 +256,9 @@ let revalidate t =
   in
   List.iter (fun prefix -> refresh_fib t prefix) prefixes
 
+(* Next-hop revalidation after an IGP change is debounced by 10 ms. *)
+let revalidate_delay = Sim.Time.of_ms 10
+
 let handle_igp_change t =
   let self = Igp.Database.find (Igp.Node.database t.igp) t.id in
   (match self with
@@ -267,7 +269,7 @@ let handle_igp_change t =
   if (not t.supercharged) && not t.revalidate_pending then begin
     t.revalidate_pending <- true;
     ignore
-      (Sim.Engine.schedule_after t.engine t.revalidate_delay (fun () -> revalidate t))
+      (Sim.Engine.schedule_after t.engine revalidate_delay (fun () -> revalidate t))
   end
 
 (* --- controller-owned state (supercharged routers) ----------------------- *)
@@ -325,12 +327,10 @@ let busy t = fib_pending t || t.revalidate_pending
 
 (* --- construction -------------------------------------------------------- *)
 
-let create engine ~spec ~index ~activity ?(fib_batch_start = Sim.Time.of_ms 10)
-    ?(fib_per_entry = Sim.Time.of_us 281) ?(revalidate_delay = Sim.Time.of_ms 10)
-    ?(flood_delay = Sim.Time.of_ms 1) () =
+let create engine ~spec ~index ~activity =
   let id = Spec.router_ip index in
   let node = spec.Spec.nodes.(index) in
-  let igp = Igp.Node.create engine ~router_id:id ~flood_delay () in
+  let igp = Igp.Node.create engine ~router_id:id () in
   let speaker =
     Bgp.Speaker.create engine
       ~name:(Fmt.str "%s.bgp" node.Spec.name)
@@ -370,14 +370,11 @@ let create engine ~spec ~index ~activity ?(fib_batch_start = Sim.Time.of_ms 10)
       intent = Prefix_tbl.create 64;
       fib_queue = Queue.create ();
       fib_draining = false;
-      fib_batch_start;
-      fib_per_entry;
       fib_ops_applied = 0;
       advertised = Prefix_tbl.create 64;
       local_routes = Array.make (max 1 (Spec.n_externs spec)) [];
       ext_alive = Array.make (max 1 (Spec.n_externs spec)) true;
       revalidate_pending = false;
-      revalidate_delay;
       last_lsa_seq_sent = 0;
       activity;
       send_lsa = (fun _ -> ());
@@ -390,7 +387,7 @@ let create engine ~spec ~index ~activity ?(fib_batch_start = Sim.Time.of_ms 10)
 
 let connect_controller t ~channel ~side =
   let peer =
-    Bgp.Speaker.add_peer t.speaker ~name:"controller" ~channel ~side ()
+    Bgp.Speaker.add_peer t.speaker ~name:"controller" ~channel ~side
   in
   t.rr <- Some peer;
   Bgp.Speaker.on_update t.speaker (fun _peer u -> handle_rr_update t u);

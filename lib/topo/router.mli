@@ -17,10 +17,6 @@ type entry =
   | Via of int  (** forward toward this extern (resolved hop by hop) *)
   | Group of Supercharger.Backup_group.binding
 
-val rr_peer_id : int
-(** RIB peer id of the route-reflector session (externs use their own
-    global index). *)
-
 val internal_asn : Bgp.Asn.t
 
 type t
@@ -30,15 +26,12 @@ val create :
   spec:Spec.t ->
   index:int ->
   activity:int ref ->
-  ?fib_batch_start:Sim.Time.t ->
-  ?fib_per_entry:Sim.Time.t ->
-  ?revalidate_delay:Sim.Time.t ->
-  ?flood_delay:Sim.Time.t ->
-  unit ->
   t
 (** [activity] is the net-wide monotone work counter (quiescence
-    detection). Defaults: 10 ms to start a FIB burst, 281 µs per entry
-    (the paper's legacy write cost), 10 ms revalidation debounce. *)
+    detection). A plain router's FIB burst starts 10 ms after the first
+    queued write and applies an entry every 281 µs (the paper's legacy
+    write cost); next-hop revalidation is debounced by 10 ms; IGP
+    floods take {!Igp.Node.create}'s 1 ms per hop. *)
 
 val index : t -> int
 val router_id : t -> Net.Ipv4.t
@@ -72,7 +65,6 @@ val detect_extern_down : t -> extern:int -> unit
     re-advertise, and signal the controller. Idempotent. *)
 
 val detect_extern_up : t -> extern:int -> unit
-val extern_believed_alive : t -> extern:int -> bool
 
 val resync_with_controller : t -> unit
 (** Full-state re-send (adverts + prune + LSA + extern beliefs), run on
@@ -89,6 +81,5 @@ val choice : t -> Net.Prefix.t -> int option
     (resolving group indirection through the provisioner's selection). *)
 
 val fib_ops_applied : t -> int
-val fib_pending : t -> bool
 val busy : t -> bool
 (** Queued FIB work or a pending revalidation — not yet quiescent. *)

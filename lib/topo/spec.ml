@@ -92,9 +92,8 @@ let srlg_members t tag =
          | Some g when g = tag -> Some i
          | Some _ | None -> None)
 
-let ring ~routers ?(chords = true) ~externs ?(supercharged = []) () =
-  if routers < 3 then invalid_arg "Topo.Spec.ring: need at least 3 routers";
-  if chords && routers < 6 then invalid_arg "Topo.Spec.ring: chords need >= 6 routers";
+let ring ~routers ~externs ?(supercharged = []) () =
+  if routers < 6 then invalid_arg "Topo.Spec.ring: need >= 6 routers";
   let nodes =
     Array.init routers (fun i ->
         { name = Fmt.str "r%d" i; supercharged = List.exists (Int.equal i) supercharged })
@@ -108,13 +107,11 @@ let ring ~routers ?(chords = true) ~externs ?(supercharged = []) () =
         { ends = (i, next); cost = 10; srlg })
   in
   let chord_links =
-    if not chords then []
-    else
-      List.init (routers / 2) (fun i ->
-          let far = i + (routers / 2) in
-          if far = (i + 1) mod routers then None
-          else Some { ends = (i, far); cost = 25; srlg = Some 1 })
-      |> List.filter_map Fun.id
+    List.init (routers / 2) (fun i ->
+        let far = i + (routers / 2) in
+        if far = (i + 1) mod routers then None
+        else Some { ends = (i, far); cost = 25; srlg = Some 1 })
+    |> List.filter_map Fun.id
   in
   let links = Array.of_list (ring_links @ chord_links) in
   let externs =

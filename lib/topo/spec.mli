@@ -60,14 +60,12 @@ val link_between : t -> int -> int -> int option
 val srlg_members : t -> int -> int list
 (** Link indices carrying the given shared-risk tag. *)
 
-val ring : routers:int -> ?chords:bool -> externs:(int * int) list ->
-  ?supercharged:int list -> unit -> t
-(** [ring ~routers ~externs ()] is a cost-10 ring of [routers] nodes;
-    with [chords] (default true, requires ≥ 6 routers) every router [i]
-    in the first half also links to its antipode at cost 25, a crude
-    carrier-core mesh. [externs] lists [(at, pref)] pairs; peer [k]
-    gets ASN [64600 + k]. The two ring links adjacent to router 0 share
-    srlg 0 (one conduit into the site — the correlated-failure
-    scenario), chords share srlg 1. *)
+val ring : routers:int -> externs:(int * int) list -> ?supercharged:int list -> unit -> t
+(** [ring ~routers ~externs ()] is a cost-10 ring of [routers] (≥ 6)
+    nodes in which every router [i] in the first half also links to its
+    antipode at cost 25, a crude carrier-core mesh. [externs] lists
+    [(at, pref)] pairs; peer [k] gets ASN [64600 + k]. The two ring
+    links adjacent to router 0 share srlg 0 (one conduit into the site —
+    the correlated-failure scenario), chords share srlg 1. *)
 
 val pp : Format.formatter -> t -> unit

@@ -58,7 +58,7 @@ let packet_tests =
 
 (* Wires two sessions back to back through the engine with a small
    one-way delay, optionally allowing the pipe to be cut. *)
-let make_pair ?(tx_interval = Sim.Time.of_ms 40) ?(detect_mult = 3) () =
+let make_pair ?(tx_interval = Sim.Time.of_ms 40) () =
   let e = Sim.Engine.create () in
   let cut = ref false in
   let b_ref = ref None in
@@ -72,11 +72,11 @@ let make_pair ?(tx_interval = Sim.Time.of_ms 40) ?(detect_mult = 3) () =
              | None -> ()))
   in
   let a =
-    Bfd.Session.create e ~name:"a" ~local_discriminator:1l ~detect_mult ~tx_interval
+    Bfd.Session.create e ~name:"a" ~local_discriminator:1l ~tx_interval
       ~send:(pipe b_ref) ()
   in
   let b =
-    Bfd.Session.create e ~name:"b" ~local_discriminator:2l ~detect_mult ~tx_interval
+    Bfd.Session.create e ~name:"b" ~local_discriminator:2l ~tx_interval
       ~send:(pipe a_ref) ()
   in
   a_ref := Some a;
@@ -162,12 +162,22 @@ let session_tests =
           (Fmt.str "fast %.1fms < slow %.1fms" fast slow)
           true (fast < slow));
     Alcotest.test_case "detection time reflects remote parameters" `Quick (fun () ->
-        let e, a, b, _ = make_pair ~tx_interval:(Sim.Time.of_ms 40) ~detect_mult:3 () in
+        let e, a, b, _ = make_pair ~tx_interval:(Sim.Time.of_ms 40) () in
         Bfd.Session.enable a;
         Bfd.Session.enable b;
         Sim.Engine.run ~until:(Sim.Time.of_sec 1.0) e;
         Alcotest.(check int64) "3 x 40ms" (Sim.Time.to_ns (Sim.Time.of_ms 120))
           (Sim.Time.to_ns (Bfd.Session.detection_time a)));
+    Alcotest.test_case "a transmit interval under 1 us is rejected" `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        List.iter
+          (fun tx_interval ->
+            Alcotest.check_raises (Fmt.str "%a" Sim.Time.pp tx_interval)
+              (Invalid_argument "Bfd.Session.create: tx_interval") (fun () ->
+                ignore
+                  (Bfd.Session.create e ~local_discriminator:1l ~tx_interval
+                     ~send:(fun _ -> ()) ())))
+          [Sim.Time.zero; Sim.Time.of_ms (-5); Sim.Time.of_ns_int 999]);
     Alcotest.test_case "disabled session ignores input and stops sending" `Quick
       (fun () ->
         let e, a, b, _ = make_pair () in

@@ -1091,11 +1091,11 @@ let speaker_tests =
         let hub = Speaker.create e ~name:"hub" ~asn:(asn 65001) ~router_id:(ip "10.0.0.1") () in
         let mk_leaf name id =
           let ch = Channel.create e () in
-          let peer = Speaker.add_peer hub ~name ~channel:ch ~side:Channel.A () in
+          let peer = Speaker.add_peer hub ~name ~channel:ch ~side:Channel.A in
           let leaf =
             Speaker.create e ~name ~asn:(asn (65002 + id)) ~router_id:(ip (Fmt.str "10.0.0.%d" (2 + id))) ()
           in
-          ignore (Speaker.add_peer leaf ~name:"hub" ~channel:ch ~side:Channel.B ());
+          ignore (Speaker.add_peer leaf ~name:"hub" ~channel:ch ~side:Channel.B);
           (peer, leaf)
         in
         let peer_a, leaf_a = mk_leaf "a" 0 in

@@ -357,8 +357,7 @@ let run_tests =
         let subject =
           { Check.Invariants.controller; switch = lab.Lab.switch; oracle;
             probe_port = Lab.port_controller ~n_peers:2 0;
-            probe_mac = Lab.mac_controller 0; probe_src = Lab.ip_controller 0;
-            rule_priority = 100 }
+            probe_mac = Lab.mac_controller 0; probe_src = Lab.ip_controller 0 }
         in
         Alcotest.(check (list string)) "backup group installed" []
           (Check.Invariants.at_quiescence subject);

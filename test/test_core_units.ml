@@ -202,7 +202,6 @@ let make_lb ?(n_targets = 3) () =
   let lb =
     Load_balancer.create ~allocator:(Vnh.create ())
       ~send:(fun m -> sent := m :: !sent)
-      ()
   in
   for i = 0 to n_targets - 1 do
     Load_balancer.add_target lb (peer i)

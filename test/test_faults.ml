@@ -161,8 +161,7 @@ type rig = {
 }
 
 let make_rig ?(seed = 9L) ?(n_peers = 2) ?(bfd_debounce = Sim.Time.of_ms 100)
-    ?(ack_timeout = Sim.Time.of_ms 100) ?(ack_max_retries = 3)
-    ?(probe_interval = Sim.Time.of_ms 250) () =
+    ?(ack_timeout = Sim.Time.of_ms 100) ?(probe_interval = Sim.Time.of_ms 250) () =
   let engine = Sim.Engine.create ~seed () in
   let injector name salt =
     Sim.Faults.create engine ~name ~seed:(Int64.add seed (Int64.of_int salt))
@@ -172,7 +171,7 @@ let make_rig ?(seed = 9L) ?(n_peers = 2) ?(bfd_debounce = Sim.Time.of_ms 100)
   let lab =
     Experiments.Lab.create engine ~of_codec:true ~of_faults
       ~controller:(fun create ->
-        create ~bfd_debounce ~ack_timeout ~ack_max_retries ~probe_interval ())
+        create ~bfd_debounce ~ack_timeout ~probe_interval ())
       ~n_peers ~replicas:1 ()
   in
   let { Experiments.Lab.controller; upstream; downstream } = lab.replicas.(0) in

@@ -155,7 +155,7 @@ let make_rig ?(fib_batch = Sim.Time.of_ms 1) ?(fib_entry = Sim.Time.of_us 10) ()
   Router.Peer.connect r2 link Net.Link.B;
   let ch = Bgp.Channel.create e ~use_codec:true () in
   let peer = Router.Legacy.add_bgp_peer r1 ~name:"r2" ~channel:ch ~side:Bgp.Channel.A () in
-  ignore (Router.Peer.add_bgp_peer r2 ~name:"r1" ~channel:ch ~side:Bgp.Channel.B ());
+  ignore (Router.Peer.add_bgp_peer r2 ~name:"r1" ~channel:ch ~side:Bgp.Channel.B);
   Bgp.Speaker.start (Router.Legacy.speaker r1);
   Bgp.Speaker.start (Router.Peer.speaker r2);
   Sim.Engine.run ~until:(Sim.Time.of_sec 1.0) e;
@@ -261,7 +261,7 @@ let legacy_tests =
         announce r2 ["1.0.0.0/24"; "2.0.0.0/24"] "10.0.0.2";
         ignore
           (Router.Legacy.enable_bfd r1 ~peer ~remote_ip:(ip "10.0.0.2") ~interface:0
-             ~detect_mult:3 ~tx_interval:(Sim.Time.of_ms 40) ());
+             ~tx_interval:(Sim.Time.of_ms 40) ());
         Sim.Engine.run ~until:(Sim.Time.of_sec 3.0) e;
         Alcotest.(check int) "fib loaded" 2 (Router.Fib.size (Router.Legacy.fib r1));
         let failures = ref [] in

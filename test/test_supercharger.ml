@@ -673,7 +673,6 @@ let make_lb () =
       ~send:(function
         | Openflow.Message.Flow_mod fm -> Openflow.Flow_table.apply table fm
         | _ -> ())
-      ()
   in
   List.iter (Supercharger.Load_balancer.add_target lb) [cache_peer 2 2; cache_peer 3 3];
   (lb, table)
@@ -739,7 +738,6 @@ let lb_tests =
           Supercharger.Load_balancer.create
             ~allocator:(Supercharger.Vnh.create ())
             ~send:(fun _ -> ())
-            ()
         in
         Alcotest.(check bool) "raises" true
           (try
