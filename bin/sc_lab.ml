@@ -181,9 +181,17 @@ let run_cmd =
             && e.category <> "probe" && e.category <> "sink" && e.category <> "fib"
           then Fmt.pr "  %+10.3fms %-10s %s@." (Sim.Time.to_ms dt) e.category e.message)
         result.Experiments.Topology.trace_entries
+    end;
+    let convergence = result.Experiments.Topology.convergence in
+    let lost = Array.fold_left (fun n c -> if Option.is_none c then n + 1 else n) 0 convergence in
+    if lost > 0 then begin
+      Fmt.epr "sc_lab run: %d of %d flows never recovered@." lost (Array.length convergence);
+      exit 1
     end
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run one convergence experiment (Fig. 4 lab).")
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Run one convergence experiment (Fig. 4 lab). Exits 1 if any flow never recovers.")
     Term.(
       ret
         (const run $ prefixes_arg $ mode_arg $ flows_arg $ seed_arg $ trace_arg

@@ -20,11 +20,16 @@ val create :
   t
 (** [tx_interval] (default 40 ms, the paper's calibration) is both the
     desired transmit and the required receive interval; every session
-    advertises a detection multiplier of 3. The session starts in
+    advertises {!detect_mult}. The session starts in
     [Down] and begins transmitting when {!enable}d.
 
     @raise Invalid_argument if [tx_interval] is under 1 µs, the wire
     format's unit. *)
+
+val detect_mult : int
+(** The detection multiplier every session advertises: 3, the paper's
+    calibration. A dead peer is declared down within [detect_mult] ×
+    [tx_interval]. *)
 
 val enable : t -> unit
 val disable : t -> unit

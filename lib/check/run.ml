@@ -212,9 +212,15 @@ let[@lint.domain_entry
   let rig = make_rig sched in
   let gt = Array.make_matrix sched.n_peers sched.n_prefixes None in
   let violations = ref [] in
+  (* [tag] says where a violation was seen. It is only read when one
+     is recorded, so it is formatted only then. *)
   let record tag = function
     | [] -> ()
-    | vs -> if !violations = [] then violations := List.map (fun v -> tag ^ ": " ^ v) vs
+    | vs ->
+      if !violations = [] then begin
+        let tag = tag () in
+        violations := List.map (fun v -> tag ^ ": " ^ v) vs
+      end
   in
   let checkpoint tag =
     if settle rig then record tag (Invariants.at_quiescence rig.subject)
@@ -231,13 +237,13 @@ let[@lint.domain_entry
         interpret rig gt step.Schedule.ev;
         run_ms rig step.Schedule.dwell_ms;
         record
-          (Fmt.str "after event %d (%a)" (i + 1) Schedule.pp_event step.Schedule.ev)
+          (fun () -> Fmt.str "after event %d (%a)" (i + 1) Schedule.pp_event step.Schedule.ev)
           (Invariants.transient rig.subject);
         if !violations = [] && (i + 1) mod checkpoint_every = 0 then
-          checkpoint (Fmt.str "checkpoint at event %d" (i + 1))
+          checkpoint (fun () -> Fmt.str "checkpoint at event %d" (i + 1))
       end)
     sched.steps;
-  if !violations = [] then checkpoint "final checkpoint";
+  if !violations = [] then checkpoint (fun () -> "final checkpoint");
   !violations
 
 let run_matrix ?(n_peers = 3) ?(n_prefixes = 12) ?(events = 30) ?(chaos = true)

@@ -26,8 +26,8 @@ type t = {
 let create groups =
   {
     groups;
-    last_sent = Prefix_table.create 4096;
-    group_of = Prefix_table.create 4096;
+    last_sent = Prefix_table.create 16;
+    group_of = Prefix_table.create 16;
     emissions = 0;
     passthrough = false;
   }

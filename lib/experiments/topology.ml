@@ -367,11 +367,15 @@ let run params =
     List.fold_left (fun acc (_, at) -> Sim.Time.max acc at) t_fail failure_instants
   in
 
-  (* Run until every flow has recovered from the last failure. *)
+  (* Run until every flow has recovered from the last failure. The wait
+     covers BFD detection (detect-mult × tx interval), R1 rewriting its
+     FIB (3 × the per-entry latency per prefix) and 30 s of slack. *)
   let recovery_timeout =
     Sim.Time.add
-      (Sim.Time.mul Router.Fib.default_per_entry_latency (max 1 (3 * params.n_prefixes)))
-      (Sim.Time.add (Sim.Time.sub last_failure t_fail) (Sim.Time.of_sec 30.0))
+      (Sim.Time.mul params.bfd_tx_interval Bfd.Session.detect_mult)
+      (Sim.Time.add
+         (Sim.Time.mul Router.Fib.default_per_entry_latency (max 1 (3 * params.n_prefixes)))
+         (Sim.Time.add (Sim.Time.sub last_failure t_fail) (Sim.Time.of_sec 30.0)))
   in
   let recovered () = Trafficgen.Monitor.all_alive_since monitor last_failure in
   ignore (run_until engine ~timeout:recovery_timeout ~step:(Sim.Time.of_sec 1.0) recovered);

@@ -48,14 +48,13 @@ let compute ~source ~lsas =
     | None -> []
   in
   let entries = Ip_table.create 16 in
-  let heap =
-    Sim.Heap.create ~cmp:(fun (da, _, _) (db, _, _) -> Int.compare da db) ()
-  in
-  Sim.Heap.push heap (0, source, None);
+  (* Keyed by distance; the value is (node, first hop). *)
+  let heap = Sim.Heap.create ~dummy:(source, None) in
+  Sim.Heap.push heap 0 (source, None);
   let rec loop () =
-    match Sim.Heap.pop heap with
-    | None -> ()
-    | Some (d, node, first_hop) ->
+    if not (Sim.Heap.is_empty heap) then begin
+      let d = Sim.Heap.min_key heap in
+      let node, first_hop = Sim.Heap.pop heap in
       if not (Ip_table.mem entries node) then begin
         Ip_table.replace entries node { dist = d; first_hop };
         List.iter
@@ -68,10 +67,11 @@ let compute ~source ~lsas =
                 | None -> Some neighbor
                 | Some _ -> first_hop
               in
-              Sim.Heap.push heap (d + cost, neighbor, hop))
+              Sim.Heap.push heap (d + cost) (neighbor, hop))
           (edges_from node)
       end;
       loop ()
+    end
   in
   loop ();
   { source; entries }

@@ -16,14 +16,14 @@ type t = {
   mutable latest : event;
       (* The most recently scheduled event until it is popped, else
          [no_event]. *)
-  no_event : event;  (* never queued, never returned *)
+  no_event : event;  (* never queued; what the queue pops when empty *)
 }
 
 let create ?(seed = 1L) () =
   let no_event = { at = Time.zero; run = ignore; cancelled = true } in
   {
     clock = Time.zero;
-    queue = Heap.create ~cmp:(fun a b -> Time.compare a.at b.at) ();
+    queue = Heap.create ~dummy:no_event;
     root_rng = Rng.create ~seed;
     trace = Trace.create ();
     metrics = Obs.Metrics.create ();
@@ -40,7 +40,7 @@ let metrics t = t.metrics
 let schedule_at t instant f =
   let at = Time.max instant t.clock in
   let ev = { at; run = f; cancelled = false } in
-  Heap.push t.queue ev;
+  Heap.push t.queue (Time.to_ns_int at) ev;
   t.latest <- ev;
   ev
 
@@ -80,14 +80,16 @@ let run_event t ev =
   end
 
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some ev ->
+  let ev = Heap.pop t.queue in
+  if ev == t.no_event then false
+  else begin
     run_event t ev;
     true
+  end
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
+  let horizon = match until with Some h -> Time.to_ns_int h | None -> max_int in
   let stopped_by_budget = ref false in
   let continue = ref true in
   while !continue do
@@ -95,21 +97,12 @@ let run ?until ?max_events t =
       stopped_by_budget := true;
       continue := false
     end
-    else
-      match Heap.peek t.queue with
-      | None -> continue := false
-      | Some ev ->
-        let past_horizon =
-          match until with Some horizon -> Time.(ev.at > horizon) | None -> false
-        in
-        if past_horizon then continue := false
-        else begin
-          match Heap.pop t.queue with
-          | Some popped ->
-            if not popped.cancelled then decr budget;
-            run_event t popped
-          | None -> continue := false
-        end
+    else if Heap.is_empty t.queue || Heap.min_key t.queue > horizon then continue := false
+    else begin
+      let ev = Heap.pop t.queue in
+      if not ev.cancelled then decr budget;
+      run_event t ev
+    end
   done;
   (* When stopped by the horizon (not the event budget), advance the clock
      to it so that repeated bounded runs observe monotonically increasing

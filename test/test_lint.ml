@@ -469,6 +469,8 @@ let meta_tests =
               "Openflow.Flow_table.lookup_batch";
               "Openflow.Switch.resolve_batch";
               "Supercharger.Fib_cache.resolve_batch";
+              "Sim.Heap.push";
+              "Sim.Heap.pop";
             ]);
     Alcotest.test_case "report is deterministic and ordered" `Quick (fun () ->
         let src = "let a = Sys.time ()\nlet b = Random.bits ()" in

@@ -49,61 +49,97 @@ let time_tests =
            Int64.equal (to_ns (of_ns ns)) ns));
   ]
 
+(* Drains [h] into a list, least key first. *)
+let drain h =
+  let rec go acc = if Sim.Heap.is_empty h then List.rev acc else go (Sim.Heap.pop h :: acc) in
+  go []
+
 let heap_tests =
   [
     Alcotest.test_case "pop order is sorted" `Quick (fun () ->
-        let h = Sim.Heap.create ~cmp:Int.compare () in
-        List.iter (Sim.Heap.push h) [5; 1; 4; 1; 3; 9; 2];
-        let rec drain acc =
-          match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        Alcotest.(check (list int)) "sorted" [1; 1; 2; 3; 4; 5; 9] (drain []));
+        let h = Sim.Heap.create ~dummy:(-1) in
+        List.iter (fun k -> Sim.Heap.push h k k) [5; 1; 4; 1; 3; 9; 2];
+        Alcotest.(check (list int)) "sorted" [1; 1; 2; 3; 4; 5; 9] (drain h));
     Alcotest.test_case "equal keys pop FIFO" `Quick (fun () ->
-        let h = Sim.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
-        List.iter (Sim.Heap.push h) [(1, "a"); (0, "x"); (1, "b"); (1, "c")];
-        let labels = ref [] in
-        let rec drain () =
-          match Sim.Heap.pop h with
-          | Some (_, l) ->
-            labels := l :: !labels;
-            drain ()
-          | None -> ()
-        in
-        drain ();
-        Alcotest.(check (list string)) "fifo" ["x"; "a"; "b"; "c"] (List.rev !labels));
-    Alcotest.test_case "size / peek / clear" `Quick (fun () ->
-        let h = Sim.Heap.create ~cmp:Int.compare () in
+        let h = Sim.Heap.create ~dummy:"" in
+        List.iter (fun (k, l) -> Sim.Heap.push h k l) [(1, "a"); (0, "x"); (1, "b"); (1, "c")];
+        Alcotest.(check (list string)) "fifo" ["x"; "a"; "b"; "c"] (drain h));
+    Alcotest.test_case "size / min_key / empty pop" `Quick (fun () ->
+        let h = Sim.Heap.create ~dummy:(-1) in
         Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h);
-        Sim.Heap.push h 3;
-        Sim.Heap.push h 1;
+        Alcotest.(check int) "empty pop is the dummy" (-1) (Sim.Heap.pop h);
+        Alcotest.check_raises "no min_key"
+          (Invalid_argument "Heap.min_key: empty heap") (fun () ->
+            ignore (Sim.Heap.min_key h));
+        Sim.Heap.push h 3 30;
+        Sim.Heap.push h 1 10;
         Alcotest.(check int) "size" 2 (Sim.Heap.size h);
-        Alcotest.(check (option int)) "peek" (Some 1) (Sim.Heap.peek h);
-        Alcotest.(check int) "peek keeps" 2 (Sim.Heap.size h);
-        Sim.Heap.clear h;
-        Alcotest.(check (option int)) "cleared" None (Sim.Heap.pop h));
+        Alcotest.(check int) "min_key" 1 (Sim.Heap.min_key h);
+        Alcotest.(check int) "min_key keeps" 2 (Sim.Heap.size h);
+        Alcotest.(check (list int)) "drains" [10; 30] (drain h);
+        Alcotest.(check int) "drained pop is the dummy" (-1) (Sim.Heap.pop h));
     Test_seed.to_alcotest
-      (QCheck.Test.make ~name:"heap drains like List.sort" ~count:200
-         QCheck.(list int)
-         (fun xs ->
-           let h = Sim.Heap.create ~cmp:Int.compare () in
-           List.iter (Sim.Heap.push h) xs;
-           let rec drain acc =
-             match Sim.Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+      (QCheck.Test.make ~name:"heap drains like a stable sort by key" ~count:200
+         QCheck.(list (int_bound 8))
+         (fun keys ->
+           let h = Sim.Heap.create ~dummy:(-1) in
+           List.iteri (fun i k -> Sim.Heap.push h k i) keys;
+           let expected =
+             List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+               (List.mapi (fun i k -> (k, i)) keys)
            in
-           drain [] = List.sort Int.compare xs));
+           drain h = List.map snd expected));
+    Test_seed.to_alcotest
+      (QCheck.Test.make
+         ~name:"interleaved pushes and pops match a sorted-list model" ~count:200
+         (* [Some k] pushes under key [k], [None] pops. Segments with
+            their own push bias grow and drain the heap, so free-slot
+            reuse, growth and re-packing shrinks all happen mid-stream. *)
+         (QCheck.make
+            ~print:QCheck.Print.(list (option int))
+            QCheck.Gen.(
+              let segment =
+                int_range 1 9 >>= fun bias ->
+                list_size (0 -- 150)
+                  (frequency [ (bias, map Option.some (int_bound 6)); (10 - bias, return None) ])
+              in
+              map List.concat (list_size (1 -- 4) segment)))
+         (fun ops ->
+           let h = Sim.Heap.create ~dummy:(-1) in
+           let model = ref [] and n = ref 0 in
+           (* The model stays sorted by key, then by push order. *)
+           let rec insert k v = function
+             | (k', _) as e :: rest when k' <= k -> e :: insert k v rest
+             | rest -> (k, v) :: rest
+           in
+           List.for_all
+             (function
+               | Some k ->
+                 Sim.Heap.push h k !n;
+                 model := insert k !n !model;
+                 incr n;
+                 Sim.Heap.size h = List.length !model
+               | None -> (
+                 match !model with
+                 | [] -> Sim.Heap.pop h = -1
+                 | (k, v) :: rest ->
+                   model := rest;
+                   Sim.Heap.min_key h = k && Sim.Heap.pop h = v))
+             ops
+           && drain h = List.map snd !model));
     Alcotest.test_case "pop does not retain the popped element" `Quick (fun () ->
-        (* Regression: pop used to leave the vacated cell at
-           cells.(size) holding the element (and everything its closure
-           captured) until some later push overwrote the slot. *)
-        let h = Sim.Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) () in
+        (* A popped value must not linger in its vacated slot, pinning
+           everything its closure captured until a later push reuses
+           the slot. *)
+        let h = Sim.Heap.create ~dummy:Bytes.empty in
         let weak = Weak.create 2 in
         let populate =
           Sys.opaque_identity (fun () ->
               let first = Bytes.make 64 'x' and second = Bytes.make 64 'y' in
               Weak.set weak 0 (Some first);
               Weak.set weak 1 (Some second);
-              Sim.Heap.push h (1, first);
-              Sim.Heap.push h (2, second))
+              Sim.Heap.push h 1 first;
+              Sim.Heap.push h 2 second)
         in
         populate ();
         ignore (Sim.Heap.pop h);
@@ -115,9 +151,9 @@ let heap_tests =
         Alcotest.(check bool) "drained heap pins nothing" false (Weak.check weak 1));
     Alcotest.test_case "array shrinks once occupancy drops below a quarter" `Quick
       (fun () ->
-        let h = Sim.Heap.create ~cmp:Int.compare () in
+        let h = Sim.Heap.create ~dummy:(-1) in
         for i = 0 to 4095 do
-          Sim.Heap.push h i
+          Sim.Heap.push h i i
         done;
         let peak = Sim.Heap.capacity h in
         Alcotest.(check bool) "grew to hold the burst" true (peak >= 4096);
@@ -125,9 +161,14 @@ let heap_tests =
           ignore (Sim.Heap.pop h)
         done;
         Alcotest.(check bool) "capacity released" true (Sim.Heap.capacity h < peak / 4);
-        Alcotest.(check (option int)) "order survives shrinking" (Some 4090)
-          (Sim.Heap.peek h);
-        Alcotest.(check int) "six left" 6 (Sim.Heap.size h));
+        Alcotest.(check int) "order survives shrinking" 4090 (Sim.Heap.min_key h);
+        Alcotest.(check int) "six left" 6 (Sim.Heap.size h);
+        (* The re-packed slab hands out fresh slots without clobbering
+           the survivors. *)
+        List.iter (fun k -> Sim.Heap.push h k (k + 10_000)) [4093; 1; 5000];
+        Alcotest.(check (list int)) "survivors and newcomers"
+          [10_001; 4090; 4091; 4092; 4093; 14_093; 4094; 4095; 15_000]
+          (drain h));
   ]
 
 let engine_tests =
@@ -291,6 +332,130 @@ let engine_tests =
         Alcotest.(check int) "tick drained" 0 (Sim.Engine.pending e));
   ]
 
+(* --- Engine against a reference model ------------------------------------
+
+   A program schedules events at absolute instants (small, so many tie;
+   once the clock has moved, many lie in the past) and after delays
+   (zero among them). An event's body is itself a program, so events
+   schedule and cancel from inside running ones. [Cancel k] cancels the
+   [k mod n]-th event created so far, queued, run or already cancelled. *)
+
+type action = At of int * action list | After of int * action list | Cancel of int
+
+let rec pp_action ppf = function
+  | At (at, body) -> Fmt.pf ppf "at %d {%a}" at pp_actions body
+  | After (d, body) -> Fmt.pf ppf "after %d {%a}" d pp_actions body
+  | Cancel k -> Fmt.pf ppf "cancel %d" k
+
+and pp_actions ppf = Fmt.(list ~sep:semi pp_action) ppf
+
+let rec gen_actions depth st =
+  let n = QCheck.Gen.int_bound (if depth = 0 then 8 else 3) st in
+  List.init n (fun _ -> gen_action depth st)
+
+and gen_action depth st =
+  let body () = if depth >= 2 then [] else gen_actions (depth + 1) st in
+  match QCheck.Gen.int_bound 4 st with
+  | 0 | 1 ->
+    let at = QCheck.Gen.int_bound 6 st in
+    At (at, body ())
+  | 2 | 3 ->
+    let d = QCheck.Gen.int_bound 2 st in
+    After (d, body ())
+  | _ -> Cancel (QCheck.Gen.int_bound 30 st)
+
+(* A program: actions before the first run, its horizon, and actions
+   scheduled at that horizon before running to the end. *)
+let arb_program =
+  QCheck.make
+    ~print:(fun (p1, horizon, p2) ->
+      Fmt.str "[%a] run ~until:%d [%a] run" pp_actions p1 horizon pp_actions p2)
+    QCheck.Gen.(triple (gen_actions 0) (int_bound 8) (gen_actions 0))
+
+(* What an event sees when it runs: its id, the clock,
+   [events_processed] and [pending]. The whole outcome adds [pending]
+   after the first run and [events_processed] and [pending] at the end. *)
+type outcome = { runs : (int * int * int * int) list; mid : int; processed : int; left : int }
+
+let run_engine (p1, horizon, p2) =
+  let e = Sim.Engine.create () in
+  let handles = Hashtbl.create 16 and created = ref 0 and runs = ref [] in
+  let rec exec = function
+    | At (at, body) -> schedule (Sim.Engine.schedule_at e (Sim.Time.of_ns_int at)) body
+    | After (d, body) -> schedule (Sim.Engine.schedule_after e (Sim.Time.of_ns_int d)) body
+    | Cancel k -> if !created > 0 then Sim.Engine.cancel (Hashtbl.find handles (k mod !created))
+  and schedule sched body =
+    let id = !created in
+    incr created;
+    let h =
+      sched (fun () ->
+          runs :=
+            ( id,
+              Sim.Time.to_ns_int (Sim.Engine.now e),
+              Sim.Engine.events_processed e,
+              Sim.Engine.pending e )
+            :: !runs;
+          List.iter exec body)
+    in
+    Hashtbl.replace handles id h
+  in
+  List.iter exec p1;
+  Sim.Engine.run ~until:(Sim.Time.of_ns_int horizon) e;
+  let mid = Sim.Engine.pending e in
+  List.iter exec p2;
+  Sim.Engine.run e;
+  { runs = List.rev !runs; mid; processed = Sim.Engine.events_processed e; left = Sim.Engine.pending e }
+
+(* The specification: events run by instant, then by scheduling order;
+   a past instant means now; a cancelled event is skipped. *)
+type mevent = { m_at : int; m_id : int; m_body : action list; mutable m_cancelled : bool }
+
+let run_model (p1, horizon, p2) =
+  let clock = ref 0 and queue = ref [] and created = Hashtbl.create 16 in
+  let processed = ref 0 and runs = ref [] in
+  let pending () = List.length (List.filter (fun m -> not m.m_cancelled) !queue) in
+  let rec exec = function
+    | At (at, body) -> schedule (max at !clock) body
+    | After (d, body) -> schedule (!clock + d) body
+    | Cancel k ->
+      let n = Hashtbl.length created in
+      if n > 0 then (Hashtbl.find created (k mod n)).m_cancelled <- true
+  and schedule at body =
+    let m = { m_at = at; m_id = Hashtbl.length created; m_body = body; m_cancelled = false } in
+    Hashtbl.replace created m.m_id m;
+    queue := !queue @ [ m ]
+  in
+  let rec drain limit =
+    (* The queue is in scheduling order, so the first event at the least
+       instant is the one due. *)
+    match !queue with
+    | [] -> ()
+    | first :: _ ->
+      let next = List.fold_left (fun a m -> if m.m_at < a.m_at then m else a) first !queue in
+      if next.m_at <= limit then begin
+        queue := List.filter (fun m -> m != next) !queue;
+        if not next.m_cancelled then begin
+          clock := next.m_at;
+          incr processed;
+          runs := (next.m_id, !clock, !processed, pending ()) :: !runs;
+          List.iter exec next.m_body
+        end;
+        drain limit
+      end
+  in
+  List.iter exec p1;
+  drain horizon;
+  clock := max !clock horizon;
+  let mid = pending () in
+  List.iter exec p2;
+  drain max_int;
+  { runs = List.rev !runs; mid; processed = !processed; left = pending () }
+
+let engine_model_property =
+  Test_seed.to_alcotest
+    (QCheck.Test.make ~name:"engine runs programs in the reference model's order"
+       ~count:500 arb_program (fun p -> run_engine p = run_model p))
+
 let alignment_properties =
   [
     Test_seed.to_alcotest
@@ -433,7 +598,7 @@ let suite =
   [
     ("sim.time", time_tests);
     ("sim.heap", heap_tests);
-    ("sim.engine", engine_tests);
+    ("sim.engine", engine_tests @ [ engine_model_property ]);
     ("sim.alignment", alignment_properties);
     ("sim.rng", rng_tests);
     ("sim.trace", trace_tests);
