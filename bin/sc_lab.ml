@@ -519,9 +519,10 @@ let lint_cmd =
       & opt (some string) None
       & info ["inventory"] ~docv:"FILE"
           ~doc:
-            "Compare the committed mutable-state inventory (schema \
-             lint/state-v1) against a fresh one; exit 3 and rewrite FILE on \
-             divergence so the diff is reviewable.")
+            "Compare the committed inventory (schema lint/state-v2: the \
+             module-level mutable globals, and the reach sets of names only \
+             the Fig. 5 lab or only the checkers run) against a fresh one; \
+             exit 3 and rewrite FILE on divergence so the diff is reviewable.")
   in
   let only_arg =
     Arg.(
@@ -586,10 +587,10 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Static analysis enforcing the determinism, comparison and \
-          domain-safety discipline: per-file rules (no ambient RNG/clock, no \
+          allocation discipline: per-file rules (no ambient RNG/clock, no \
           polymorphic compare on net types, no hash-ordered output, no \
           wildcard on closed event variants) plus whole-program passes \
-          (no-shared-mutable-global, cross-domain-unsafe, hot-path-alloc). \
+          (no-shared-mutable-global, hot-path-alloc). \
           Exit codes: 0 clean, 1 findings, 2 parse error or bad --only/--except, \
           3 inventory drift.")
     Term.(

@@ -179,10 +179,7 @@ let create engine ~channel ~side ~asn ~router_id ?(hold_time = 90)
   Channel.on_break channel side (fun () -> close t Channel_broken);
   t
 
-let[@lint.domain_entry
-     "per-peer session driver: the multicore runway runs each peer's session \
-      on its own domain; the session must only touch its own channel and state"] start
-    t =
+let start t =
   if t.state = Idle then begin
     Channel.send t.channel t.side
       (Message.Open

@@ -225,10 +225,7 @@ let equivalent st =
   if !divergent > 3 then add "... and %d more divergent prefixes" (!divergent - 3);
   List.rev !violations
 
-let[@lint.domain_entry
-     "ribscale schedule runner: candidate for one-schedule-per-domain fan-out; \
-      each run builds its own RIB, oracle and rng from the schedule seed"] execute
-    ~entries (t : t) =
+let[@lint.reach_root "check"] execute ~entries (t : t) =
   if Array.length entries = 0 then invalid_arg "Ribscale.execute: entries";
   let st =
     {

@@ -205,10 +205,7 @@ let interpret rig (gt : ground_truth) ev =
 
 let checkpoint_every = 8
 
-let[@lint.domain_entry
-     "checker schedule runner: the checker domain pool fans the schedule \
-      matrix out one schedule per domain; everything below this frame must \
-      be domain-confined or guarded"] execute (sched : Schedule.t) =
+let[@lint.reach_root "check"] execute (sched : Schedule.t) =
   let rig = make_rig sched in
   let gt = Array.make_matrix sched.n_peers sched.n_prefixes None in
   let violations = ref [] in

@@ -211,9 +211,7 @@ let check fabric t =
   end;
   List.rev !violations
 
-let[@lint.domain_entry
-     "multi-node checker runner: one fabric per schedule, built fresh from \
-      the seed, so whole runs can move onto worker domains"] execute t =
+let[@lint.reach_root "check"] execute t =
   let engine = Sim.Engine.create ~seed:t.seed () in
   let spec = spec_of t in
   let fabric = Topo.Fabric.build engine spec in

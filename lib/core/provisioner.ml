@@ -33,7 +33,7 @@ type t = {
 
 let rule_priority = 100
 
-let create ?(metrics = Obs.Metrics.default) ~send () =
+let create ?(metrics = Obs.Metrics.create ()) ~send () =
   {
     send;
     peers = Ip_table.create 16;

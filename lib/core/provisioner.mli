@@ -25,8 +25,8 @@ val create :
   unit ->
   t
 (** [send] is the switch control channel (from
-    [Openflow.Switch.connect_controller]); [metrics] (default the
-    process-wide registry) receives the "provisioner.flow_mods"
+    [Openflow.Switch.connect_controller]); [metrics] (default a
+    fresh registry of its own) receives the "provisioner.flow_mods"
     counter. *)
 
 val declare_peer : t -> peer_info -> unit

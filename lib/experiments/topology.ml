@@ -152,7 +152,7 @@ let pick_flows rng (entries : Workloads.Rib_gen.entry array) n =
 
 (* --- the lab ------------------------------------------------------------ *)
 
-let run params =
+let[@lint.reach_root "fig5"] run params =
   if params.n_peers < 2 || params.n_peers > 8 then
     invalid_arg "Topology.run: n_peers must be in 2..8";
   (match params.failure with

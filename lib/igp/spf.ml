@@ -17,9 +17,8 @@ type table = {
 
 (* Process-wide count of Dijkstra runs. The regression tests use it to
    pin down the "one SPF per database change" contract: querying a
-   node's distances must not re-run the algorithm. Atomic so per-router
-   SPF recomputation can move onto separate domains (the multicore
-   runway) without the counter racing; everything else SPF produces lives in
+   node's distances must not re-run the algorithm. It only ever grows,
+   so readers take differences; everything else SPF produces lives in
    the per-run [table]. *)
 let computed = Atomic.make 0
 let computations () = Atomic.get computed

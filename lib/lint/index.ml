@@ -3,7 +3,7 @@
    sites) extracted from one shared parse, then resolved across files.
 
    Facts are deliberately plain data — strings, ints, diagnostics.
-   Everything that needs more than one file (call-graph walks,
+   Everything that needs more than one file (the reach walk,
    partial-application arities, inventory drift) happens at
    whole-program time over these facts. *)
 
@@ -14,22 +14,14 @@ module SS = Set.Make (String)
 (* Facts *)
 
 type classification =
-  | Atomic  (** [Atomic.make] — safe to share across domains *)
-  | Mutex_guard  (** the [Mutex.create] binding itself, i.e. a guard *)
-  | Mutex_guarded of string
-      (** [[@@lint.guarded_by "m"]] naming a sibling Mutex binding *)
+  | Atomic  (** [Atomic.make] — a declared process-wide counter *)
   | Domain_local of string  (** [[@@lint.domain_local "rationale"]] *)
-  | Unguarded  (** shared mutable state with no discipline — the error *)
+  | Unguarded  (** module-level state with no justification — the error *)
 
 let classification_to_string = function
   | Atomic -> "atomic"
-  | Mutex_guard -> "mutex-guard"
-  | Mutex_guarded _ -> "mutex-guarded"
   | Domain_local _ -> "domain-local"
   | Unguarded -> "unguarded"
-
-type site = { s_line : int; s_col : int; s_what : string }
-(** An ambient-nondeterminism site inside a binding body. *)
 
 type apply = { ap_path : string; ap_args : int; ap_line : int; ap_col : int }
 (** An application inside a [[@@lint.zero_alloc]] body, kept raw so the
@@ -46,14 +38,10 @@ type binding = {
   b_mutable : (string * classification) option;
       (** kind ("ref", "hashtbl", ...) and classification when the RHS
           evaluates to mutable state at module initialisation *)
-  b_guarded_by : string option;  (** raw [[@@lint.guarded_by]] payload *)
-  b_domain_entry : string option;  (** [[@@lint.domain_entry]] rationale *)
+  b_reach_root : string option;  (** [[@@lint.reach_root]]: "fig5" or "check" *)
   b_zero_alloc : bool;
-  b_nondet : site list;
   b_applies : apply list;  (** only populated for zero-alloc bindings *)
 }
-
-type allow = { al_rules : string list; al_from : int; al_to : int }
 
 type file_facts = {
   ff_file : string;
@@ -62,7 +50,7 @@ type file_facts = {
   ff_diags : Diagnostic.t list;
       (** complete per-file findings (per-file rules + annotation and
           zero-alloc-body checks), suppression already applied *)
-  ff_allows : allow list;  (** kept for whole-program-stage suppression *)
+  ff_allows : Rules.allow list;  (** kept for whole-program-stage suppression *)
   ff_aliases : (string * string) list;
       (** top-level [module C = Supercharger.Controller] aliases, for
           reference resolution *)
@@ -189,7 +177,6 @@ let rec kind_of_expr env depth e =
       match path with
       | ["ref"] -> Some ("ref", Unguarded)
       | ["Atomic"; "make"] -> Some ("atomic", Atomic)
-      | ["Mutex"; "create"] -> Some ("mutex", Mutex_guard)
       | [m; ("create" | "of_seq" | "copy")] when hashtbl_module m ->
         Some ("hashtbl", Unguarded)
       | ["Queue"; ("create" | "copy" | "of_seq")] -> Some ("queue", Unguarded)
@@ -251,31 +238,6 @@ let collect_refs e =
   in
   it.expr it e;
   SS.elements !refs
-
-let nondet_sites ~exempt e =
-  if exempt then []
-  else begin
-    let sites = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match e.pexp_desc with
-            | Pexp_ident { txt = lid; _ } -> (
-              let path = strip_stdlib (flatten lid) in
-              match Rules.nondet_reason path with
-              | Some _ ->
-                let line, col = loc_pos e.pexp_loc in
-                sites := { s_line = line; s_col = col; s_what = path_str path } :: !sites
-              | None -> ())
-            | _ -> ());
-            Ast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.expr it e;
-    List.rev !sites
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Zero-alloc body analysis (the per-file half of hot-path-alloc).
@@ -372,7 +334,7 @@ let check_zero_alloc ~report ~record_apply body =
 let rule_annotation = "lint-annotation"
 
 let known_lint_attrs =
-  SS.of_list ["lint.allow"; "lint.domain_local"; "lint.domain_entry"; "lint.zero_alloc"; "lint.guarded_by"]
+  SS.of_list ["lint.allow"; "lint.domain_local"; "lint.reach_root"; "lint.zero_alloc"]
 
 let extract ~file ~library structure =
   let module_path = module_name ~library file in
@@ -427,9 +389,6 @@ let extract ~file ~library structure =
   (* Walk structure items, tracking the module path for submodules. *)
   let bindings = ref [] in
   let lib_file = in_lib file in
-  let nondet_exempt =
-    has_suffix ~suffix:"sim/rng.ml" file || has_suffix ~suffix:"sim/time.ml" file
-  in
   let binding_of ~prefix vb name =
     let line, col = loc_pos vb.pvb_loc in
     let rec arity ?(labels = false) e =
@@ -443,9 +402,8 @@ let extract ~file ~library structure =
     in
     let n_params, has_labels = arity vb.pvb_expr in
     let body = strip_params vb.pvb_expr in
-    let domain_entry = ref None in
+    let reach_root = ref None in
     let zero_alloc = ref false in
-    let guarded_by = ref None in
     let domain_local = ref None in
     List.iter
       (fun (attr : attribute) ->
@@ -456,7 +414,7 @@ let extract ~file ~library structure =
         if is_lint && not (SS.mem txt known_lint_attrs) then
           report ~loc:attr.attr_loc ~rule:rule_annotation
             "unknown lint annotation [@%s]; known: allow, domain_local, \
-             domain_entry, zero_alloc, guarded_by"
+             reach_root, zero_alloc"
             txt
         else
           match txt with
@@ -467,20 +425,12 @@ let extract ~file ~library structure =
             | _ ->
               report ~loc:attr.attr_loc ~rule:rule_annotation
                 "[@@lint.domain_local] requires a non-empty string rationale")
-          | "lint.domain_entry" -> (
+          | "lint.reach_root" -> (
             match string_payload attr with
-            | Some rationale when String.trim rationale <> "" ->
-              domain_entry := Some rationale
+            | Some (("fig5" | "check") as root) -> reach_root := Some root
             | _ ->
               report ~loc:attr.attr_loc ~rule:rule_annotation
-                "[@@lint.domain_entry] requires a non-empty string rationale")
-          | "lint.guarded_by" -> (
-            match string_payload attr with
-            | Some m when String.trim m <> "" -> guarded_by := Some m
-            | _ ->
-              report ~loc:attr.attr_loc ~rule:rule_annotation
-                "[@@lint.guarded_by] requires the name of a sibling Mutex \
-                 binding")
+                "[@@lint.reach_root] takes \"fig5\" or \"check\"")
           | "lint.zero_alloc" ->
             if empty_payload attr || Option.is_some (string_payload attr) then
               zero_alloc := true
@@ -496,13 +446,10 @@ let extract ~file ~library structure =
         | None -> None
         | Some (kind, base_class) ->
           let classification =
-            match base_class, !domain_local, !guarded_by with
-            | Atomic, _, _ -> Atomic
-            | Mutex_guard, _, _ -> Mutex_guard
-            | _, Some rationale, _ -> Domain_local rationale
-            | _, None, Some m -> Mutex_guarded m
-            | (Unguarded | Mutex_guarded _ | Domain_local _), None, None ->
-              Unguarded
+            match base_class, !domain_local with
+            | Atomic, _ -> Atomic
+            | _, Some rationale -> Domain_local rationale
+            | (Unguarded | Domain_local _), None -> Unguarded
           in
           Some (kind, classification)
     in
@@ -522,10 +469,8 @@ let extract ~file ~library structure =
       b_has_labels = has_labels;
       b_refs = collect_refs vb.pvb_expr;
       b_mutable = (if lib_file then mutable_kind else None);
-      b_guarded_by = !guarded_by;
-      b_domain_entry = !domain_entry;
+      b_reach_root = !reach_root;
       b_zero_alloc = !zero_alloc;
-      b_nondet = nondet_sites ~exempt:nondet_exempt vb.pvb_expr;
       b_applies = List.rev !applies;
     }
   in
@@ -561,15 +506,9 @@ let extract ~file ~library structure =
     | _ -> ()
   in
   walk_items ~prefix:module_path structure;
-  let rule_diags, raw_allows = Rules.run_collect ~file structure in
-  let allows =
-    List.map
-      (fun (a : Rules.allow) ->
-        { al_rules = a.a_rules; al_from = a.a_from; al_to = a.a_to })
-      raw_allows
-  in
+  let rule_diags, allows = Rules.run_collect ~file structure in
   let own_diags =
-    List.filter (fun d -> not (Rules.allow_covers raw_allows d)) (List.rev !diags)
+    List.filter (fun d -> not (Rules.allow_covers allows d)) (List.rev !diags)
   in
   {
     ff_file = file;
@@ -625,28 +564,30 @@ let resolve t ~(from : file_facts) raw =
   in
   List.find_opt (Hashtbl.mem t.bindings) candidates
 
-let suppressed ff (d : Diagnostic.t) =
-  List.exists
-    (fun a ->
-      d.Diagnostic.line >= a.al_from
-      && d.Diagnostic.line <= a.al_to
-      && (List.mem d.Diagnostic.rule a.al_rules || List.mem "all" a.al_rules))
-    ff.ff_allows
-
 let facts_for t file = List.find_opt (fun ff -> ff.ff_file = file) t.files
+
+(* Everything reachable from [roots] over resolved references, roots
+   included. A depth-first walk: each binding's raw references resolve
+   from its own file. *)
+let reachable t roots =
+  let rec visit seen = function
+    | [] -> seen
+    | q :: rest when SS.mem q seen -> visit seen rest
+    | q :: rest ->
+      let callees =
+        match find t q with
+        | None -> []
+        | Some b -> (
+          match facts_for t b.b_file with
+          | Some ff -> List.filter_map (resolve t ~from:ff) b.b_refs
+          | None -> [])
+      in
+      visit (SS.add q seen) (callees @ rest)
+  in
+  visit SS.empty roots
 
 let globals t =
   List.concat_map
     (fun ff ->
-      List.filter_map
-        (fun b -> Option.map (fun m -> (ff, b, m)) b.b_mutable)
-        ff.ff_bindings)
-    t.files
-
-let domain_entries t =
-  List.concat_map
-    (fun ff ->
-      List.filter_map
-        (fun b -> Option.map (fun r -> (ff, b, r)) b.b_domain_entry)
-        ff.ff_bindings)
+      List.filter_map (fun b -> Option.map (fun m -> (b, m)) b.b_mutable) ff.ff_bindings)
     t.files

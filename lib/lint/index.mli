@@ -4,34 +4,27 @@
     whole-program passes need into plain, marshal-safe data: the
     module-level bindings with their qualified names, arities and raw
     references (an approximate call graph), every module-level mutable
-    value with its concurrency classification, ambient-nondeterminism
-    sites, [[@lint.*]] annotations, and the per-file rule diagnostics
-    themselves. [build] then assembles the files into one index that
-    {!Passes} walks without ever touching an AST.
+    value with its classification, [[@lint.*]] annotations, and the
+    per-file rule diagnostics themselves. [build] then assembles the
+    files into one index that {!Passes} and {!State} walk without ever
+    touching an AST.
 
     Annotation vocabulary (unknown or malformed [lint.*] attributes are
     themselves a [lint-annotation] error):
 
-    - [[@@lint.domain_local "rationale"]] — this mutable global is owned
-      by a single domain; the rationale is a trusted human assertion.
-    - [[@@lint.guarded_by "m"]] — every access holds the sibling Mutex
-      binding [m] (validated to exist and be a [Mutex.create]).
-    - [[@@lint.domain_entry "rationale"]] — this function is (or will
-      be) the entry point of its own domain; everything it reaches is
-      checked by the [cross-domain-unsafe] pass.
+    - [[@@lint.domain_local "rationale"]] — this mutable global carries
+      nothing from one run to the next; the rationale is a trusted
+      human assertion.
+    - [[@@lint.reach_root "fig5"|"check"]] — this function is where the
+      Fig. 5 lab or a differential checker starts; {!State} diffs what
+      the two kinds of root reach.
     - [[@@lint.zero_alloc]] — this function's body must not allocate
       per call; checked conservatively (see {!Passes}). *)
 
-type classification =
-  | Atomic
-  | Mutex_guard
-  | Mutex_guarded of string
-  | Domain_local of string
-  | Unguarded
+type classification = Atomic | Domain_local of string | Unguarded
 
 val classification_to_string : classification -> string
 
-type site = { s_line : int; s_col : int; s_what : string }
 type apply = { ap_path : string; ap_args : int; ap_line : int; ap_col : int }
 
 type binding = {
@@ -43,21 +36,17 @@ type binding = {
   b_has_labels : bool;
   b_refs : string list;
   b_mutable : (string * classification) option;
-  b_guarded_by : string option;
-  b_domain_entry : string option;
+  b_reach_root : string option;
   b_zero_alloc : bool;
-  b_nondet : site list;
   b_applies : apply list;
 }
-
-type allow = { al_rules : string list; al_from : int; al_to : int }
 
 type file_facts = {
   ff_file : string;
   ff_module : string;
   ff_library : string;
   ff_diags : Diagnostic.t list;
-  ff_allows : allow list;
+  ff_allows : Rules.allow list;
   ff_aliases : (string * string) list;
   ff_bindings : binding list;
 }
@@ -84,8 +73,7 @@ val extract :
   file:string -> library:string -> Parsetree.structure -> file_facts
 (** One pass over one parsed file: per-file rules (via {!Rules}),
     annotation validation, mutable-global classification, reference
-    and nondeterminism collection, and the per-file half of the
-    zero-alloc body check. *)
+    collection, and the per-file half of the zero-alloc body check. *)
 
 val build : file_facts list -> t
 val find : t -> string -> binding option
@@ -98,13 +86,10 @@ val resolve : t -> from:file_facts -> string -> string option
     stdlib/external/local names — the conservative answer for
     reachability. *)
 
-val suppressed : file_facts -> Diagnostic.t -> bool
-(** Does one of the file's [[@lint.allow]] ranges cover this
-    diagnostic? *)
+val reachable : t -> string list -> Set.Make(String).t
+(** Every qualified name reachable from the given roots over resolved
+    references, the roots included. *)
 
-val globals : t -> (file_facts * binding * (string * classification)) list
+val globals : t -> (binding * (string * classification)) list
 (** Every module-level mutable value in [lib/], with its kind and
     classification — the raw material of LINT_STATE.json. *)
-
-val domain_entries : t -> (file_facts * binding * string) list
-(** Every [[@@lint.domain_entry]] binding with its rationale. *)

@@ -452,5 +452,3 @@ let run_collect ~file structure =
     |> List.sort_uniq Diagnostic.compare
   in
   (diags, t.allows)
-
-let run ~file structure = fst (run_collect ~file structure)

@@ -44,20 +44,12 @@ val allow_covers : allow list -> Diagnostic.t -> bool
     the whole-program passes ({!Index}), which produce diagnostics long
     after the per-file iterator ran. *)
 
-val nondet_reason : string list -> string option
-(** [nondet_reason path] is the reason a (Stdlib-stripped) dotted path
-    is an ambient-nondeterminism source, if it is one. Exposed for
-    {!Index}, which records these sites for cross-domain reachability. *)
-
 val run_collect :
   file:string -> Parsetree.structure -> Diagnostic.t list * allow list
-(** Like {!run}, but also returns the [[@lint.allow]] ranges collected
-    on the way, so callers layering whole-program rules on top can apply
-    the same suppression. *)
-
-val run : file:string -> Parsetree.structure -> Diagnostic.t list
-(** [run ~file ast] returns the diagnostics for one parsed file, with
-    [[@lint.allow]]-suppressed findings already removed, sorted per
-    {!Diagnostic.compare}. [file] should be root-relative with ['/']
-    separators — rule scoping ([lib/] vs [bin/], the [Sim.Rng]
+(** [run_collect ~file ast] returns the diagnostics for one parsed
+    file, with [[@lint.allow]]-suppressed findings already removed,
+    sorted per {!Diagnostic.compare}, and the [[@lint.allow]] ranges
+    collected on the way, so the whole-program passes layered on top
+    apply the same suppression. [file] should be root-relative with
+    ['/'] separators — rule scoping ([lib/] vs [bin/], the [Sim.Rng]
     exemption, fast-path files) keys off it. *)

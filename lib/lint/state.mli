@@ -1,14 +1,20 @@
-(** The committed mutable-state inventory ([LINT_STATE.json], schema
-    [lint/state-v1]).
+(** The committed lint inventory ([LINT_STATE.json], schema
+    [lint/state-v2]).
 
-    One entry per module-level mutable value in [lib/], sorted by
-    qualified name, with its kind and concurrency classification —
-    and, where relevant, the guard name or domain-local rationale.
-    Locations are omitted so unrelated edits never churn the file; a
-    diff in review means the set of shared state actually changed.
+    Two halves:
+    - one entry per module-level mutable value in [lib/], sorted by
+      qualified name, with its kind, classification and, for a
+      domain-local, its rationale;
+    - the reach diff: the sorted [lib/] names reachable from the
+      [[@@lint.reach_root "fig5"]] root and from no
+      [[@@lint.reach_root "check"]] root, and the reverse. [lib/check/]
+      is left out of both.
 
-    CI regenerates the inventory and fails on divergence, so a new
-    unguarded global cannot land silently. *)
+    Locations are omitted so unrelated edits never churn the file, and
+    every list element is on its own line, so a diff in review names
+    the global that appeared or the component a checker started (or
+    stopped) running. CI regenerates the inventory and fails on
+    divergence. *)
 
 val schema : string
 
@@ -24,7 +30,11 @@ val entries : Index.t -> entry list
 
 val unguarded : entry list -> int
 
-val to_json : Index.t -> Obs.Json.t
+type reach = { fig5_only : string list; checker_only : string list }
+
+val reach : Index.t -> reach
+(** Both sets, sorted. *)
+
 val render : Index.t -> string
 (** The exact bytes of a fresh LINT_STATE.json (newline-terminated). *)
 

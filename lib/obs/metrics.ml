@@ -10,18 +10,6 @@ type t = {
 let create () =
   { counters = Hashtbl.create 16; gauges = Hashtbl.create 16; histograms = Hashtbl.create 16 }
 
-(* Single-writer ownership contract: [default] is the fallback registry
-   for components constructed without an explicit [?metrics] argument —
-   today only [Supercharger.Provisioner.create]'s default — and every
-   such component runs on the main simulation domain. Worker domains
-   (the checker domain pool) must be handed their own [create ()]
-   registry and have their snapshots merged after [Domain.join];
-   nothing hands [default] across a spawn. *)
-let default = create ()
-[@@lint.domain_local
-  "fallback registry for the main simulation domain only; worker domains get \
-   their own create () and merge snapshots at join"]
-
 let get_or_create table name make =
   match Hashtbl.find_opt table name with
   | Some x -> x

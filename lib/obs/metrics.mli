@@ -1,8 +1,7 @@
 (** Metrics registry: counters, gauges and histograms by dotted name.
 
     A registry is cheap to create; simulations make one per engine so
-    runs never share state, while ad-hoc tools can use the process-wide
-    [default]. [counter]/[gauge]/[histogram] are get-or-create and
+    runs never share state. [counter]/[gauge]/[histogram] are get-or-create and
     return a handle whose hot-path update is a single mutation — no
     hashing per increment. Names are conventionally dotted
     ("controller.updates_processed"); [Scope] prepends a component
@@ -14,9 +13,6 @@ type counter
 type gauge
 
 val create : unit -> t
-
-val default : t
-(** Process-wide registry for code without an engine at hand. *)
 
 val counter : t -> string -> counter
 val incr : ?by:int -> counter -> unit

@@ -152,6 +152,23 @@ let schedule_tests =
         strips "ribscale-check"
           (Check.Ribscale.Peer_down 3, Check.Ribscale.Storm { peer = 1; share_pct = 40 })
           (List.init 8 (fun peer -> Check.Ribscale.Readvertise { peer })));
+    Test_seed.to_alcotest
+      (QCheck.Test.make ~name:"shrink results are 1-minimal" ~count:500
+         QCheck.(triple (small_list (0 -- 20)) (2 -- 6) (0 -- 5))
+         (fun (events, k, r) ->
+           (* A position-weighted sum mod k is not monotone, and dropping
+              one event re-weights every later one, so an event that
+              had to stay can become removable after another goes. *)
+           let fails evs =
+             List.fold_left ( + ) 0 (List.mapi (fun i x -> (i + 1) * x) evs) mod k = r
+           in
+           let shrunk = Check.Shrink.list ~fails events in
+           if not (fails events) then shrunk = events
+           else
+             fails shrunk
+             && List.for_all
+                  (fun i -> not (fails (List.filteri (fun j _ -> j <> i) shrunk)))
+                  (List.init (List.length shrunk) Fun.id)));
     Alcotest.test_case "shrink is the identity on passing schedules" `Quick
       (fun () ->
         let sched = Check.Schedule.generate ~seed:3L ~length:10 () in

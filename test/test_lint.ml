@@ -140,21 +140,6 @@ let shared_tests =
     Alcotest.test_case "no-shared-mutable-global: Atomic is the fix" `Quick
       (fun () ->
         check_rules "atomic is fine" [] (lint "let hits = Atomic.make 0"));
-    Alcotest.test_case "no-shared-mutable-global: guarded_by a real mutex"
-      `Quick (fun () ->
-        check_rules "guarded is fine" []
-          (lint
-             "let m = Mutex.create ()\n\
-              let reg = Hashtbl.create 8 [@@lint.guarded_by \"m\"]"));
-    Alcotest.test_case "no-shared-mutable-global: guarded_by a ghost" `Quick
-      (fun () ->
-        (* The guard must exist and be a Mutex.create sibling. *)
-        check_rules "missing guard" ["no-shared-mutable-global"]
-          (lint "let reg = Hashtbl.create 8 [@@lint.guarded_by \"m\"]");
-        check_rules "guard is not a mutex" ["no-shared-mutable-global"]
-          (lint
-             "let m = ref 0 [@@lint.domain_local \"test fixture\"]\n\
-              let reg = Hashtbl.create 8 [@@lint.guarded_by \"m\"]"));
     Alcotest.test_case "no-shared-mutable-global: domain_local rationale"
       `Quick (fun () ->
         check_rules "justified" []
@@ -170,6 +155,14 @@ let shared_tests =
           (lint
              "let t = Hashtbl.create 16 [@@lint.allow \
               \"no-shared-mutable-global\"]"));
+    Alcotest.test_case "no-shared-mutable-global: a whole-file allow" `Quick
+      (fun () ->
+        (* Whole-program findings go through the same allow ranges as
+           the per-file rules, open-ended file ranges included. *)
+        check_rules "suppressed" []
+          (lint
+             "[@@@lint.allow \"no-shared-mutable-global\"]\n\
+              let t = Hashtbl.create 16\nlet r = ref 0"));
     Alcotest.test_case "no-shared-mutable-global: functions are not globals"
       `Quick (fun () ->
         check_rules "constructor function is fine" []
@@ -188,79 +181,82 @@ let shared_tests =
     Alcotest.test_case "unknown lint attribute is flagged" `Quick (fun () ->
         check_rules "typo'd annotation" ["lint-annotation"]
           (lint "let f x = x [@@lint.zeroalloc]"));
+    Alcotest.test_case "retired domain annotations are unknown" `Quick
+      (fun () ->
+        (* guarded_by grants nothing any more: the global is still
+           flagged, and so is the annotation. *)
+        check_rules "guarded_by"
+          ["no-shared-mutable-global"; "lint-annotation"]
+          (lint "let reg = Hashtbl.create 8 [@@lint.guarded_by \"m\"]");
+        check_rules "domain_entry" ["lint-annotation"]
+          (lint "let[@lint.domain_entry \"worker\"] run () = ()"));
   ]
 
-let cross_tests =
+(* A Fig. 5 root in lib/fake, two checker roots (one in lib/check,
+   one in bin/) and names each kind reaches alone. *)
+let reach_fixture ?(fig5_extra = "") () =
   [
-    Alcotest.test_case "cross-domain-unsafe: entry reaches a ref" `Quick
-      (fun () ->
-        let ds =
-          lint_many
-            [
-              ("lib/fake/a.ml",
-               "let global = ref 0 [@@lint.allow \
-                \"no-shared-mutable-global\"]\n\
-                let bump () = incr global");
-              ("lib/fake/b.ml",
-               "let[@lint.domain_entry \"worker fixture\"] run () = A.bump ()");
-            ]
+    ("lib/fake/a.ml",
+     "let shared () = ()\n\
+      let fib () = ()\n\
+      let[@lint.reach_root \"fig5\"] run () = shared (); fib (); B.common ()"
+     ^ fig5_extra);
+    ("lib/fake/b.ml",
+     "let common () = ()\n\
+      let probe () = common ()\n\
+      let unused () = ()\n\
+      let spare () = ()");
+    ("lib/check/c.ml",
+     "let helper () = Fake.B.probe ()\n\
+      let[@lint.reach_root \"check\"] execute () = helper (); Fake.A.shared ()");
+    ("bin/main.ml", "let[@lint.reach_root \"check\"] main () = Fake.B.unused ()");
+  ]
+
+let reach_of sources =
+  Lint.State.reach (Lint.Engine.lint_sources sources).Lint.Engine.index
+
+let reach_tests =
+  [
+    Alcotest.test_case "two roots: each set holds what one kind reaches alone"
+      `Quick (fun () ->
+        let r = reach_of (reach_fixture ()) in
+        (* Fake.A.shared and Fake.B.common are reached by both, and
+           names in lib/check/ and bin/ never enter a set. *)
+        Alcotest.(check (list string)) "fig5 only"
+          ["Fake.A.fib"; "Fake.A.run"] r.Lint.State.fig5_only;
+        Alcotest.(check (list string)) "checker only"
+          ["Fake.B.probe"; "Fake.B.unused"] r.Lint.State.checker_only);
+    Alcotest.test_case "one added call grows a set and the inventory diverges"
+      `Quick (fun () ->
+        let before = Lint.Engine.lint_sources (reach_fixture ()) in
+        let after =
+          Lint.Engine.lint_sources
+            (reach_fixture ~fig5_extra:"; B.spare ()" ())
         in
-        check_rules "reachable through two modules" ["cross-domain-unsafe"] ds;
-        (* The finding lands on the entry binding, not the global. *)
-        Alcotest.(check (list string)) "at the entry" ["lib/fake/b.ml"]
-          (List.map (fun d -> d.Lint.Diagnostic.file) ds);
-        Alcotest.(check bool) "chain in message" true
-          (List.for_all
-             (fun d ->
-               let m = d.Lint.Diagnostic.message in
-               let has sub =
-                 let n = String.length sub and l = String.length m in
-                 let rec go i =
-                   i + n <= l && (String.sub m i n = sub || go (i + 1))
-                 in
-                 go 0
-               in
-               has "Fake.B.run" && has "Fake.A.global")
-             ds));
-    Alcotest.test_case "cross-domain-unsafe: Atomic breaks the chain" `Quick
-      (fun () ->
-        check_rules "atomic state is domain-safe" []
-          (lint_many
-             [
-               ("lib/fake/a.ml",
-                "let global = Atomic.make 0\n\
-                 let bump () = Atomic.incr global");
-               ("lib/fake/b.ml",
-                "let[@lint.domain_entry \"worker fixture\"] run () = A.bump ()");
-             ]));
-    Alcotest.test_case "cross-domain-unsafe: reachable nondeterminism" `Quick
-      (fun () ->
-        check_rules "allowed clock still poisons a domain entry"
-          ["cross-domain-unsafe"]
-          (lint_many
-             [
-               ("lib/fake/a.ml",
-                "let now () = (Sys.time () [@lint.allow \
-                 \"no-ambient-nondeterminism\"])");
-               ("lib/fake/b.ml",
-                "let[@lint.domain_entry \"worker fixture\"] run () = A.now ()");
-             ]));
-    Alcotest.test_case "cross-domain-unsafe: allow at the entry" `Quick
-      (fun () ->
-        check_rules "entry owns its suppression" []
-          (lint_many
-             [
-               ("lib/fake/a.ml",
-                "let global = ref 0 [@@lint.allow \
-                 \"no-shared-mutable-global\"]\n\
-                 let bump () = incr global");
-               ("lib/fake/b.ml",
-                "let[@lint.domain_entry \"worker fixture\"] run () = A.bump \
-                 () [@@lint.allow \"cross-domain-unsafe\"]");
-             ]));
-    Alcotest.test_case "domain_entry rationale is mandatory" `Quick (fun () ->
-        check_rules "bare entry annotation" ["lint-annotation"]
-          (lint "let[@lint.domain_entry] run () = ()"));
+        Alcotest.(check (list string)) "fig5 only grew"
+          ["Fake.A.fib"; "Fake.A.run"; "Fake.B.spare"]
+          (Lint.State.reach after.Lint.Engine.index).Lint.State.fig5_only;
+        let path = Filename.temp_file "sc_lint_state" ".json" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Lint.State.write ~path before.Lint.Engine.index;
+            Alcotest.(check bool) "current before" true
+              (Lint.State.check ~committed_path:path before.Lint.Engine.index
+               = Lint.State.Fresh_matches);
+            Alcotest.(check bool) "diverged after" true
+              (Lint.State.check ~committed_path:path after.Lint.Engine.index
+               = Lint.State.Diverged)));
+    Alcotest.test_case "reach_root takes fig5 or check" `Quick (fun () ->
+        check_rules "bad payload" ["lint-annotation"]
+          (lint "let[@lint.reach_root \"topo\"] run () = ()");
+        check_rules "missing payload" ["lint-annotation"]
+          (lint "let[@lint.reach_root] run () = ()");
+        (* A rejected annotation makes no root. *)
+        let r =
+          reach_of [("lib/fake/a.ml", "let[@lint.reach_root \"topo\"] run () = ()")]
+        in
+        Alcotest.(check (list string)) "no root, no set" [] r.Lint.State.fig5_only);
   ]
 
 let alloc_tests =
@@ -338,26 +334,34 @@ let selection_tests =
 
 let state_tests =
   [
-    Alcotest.test_case "lint/state-v1 golden render" `Quick (fun () ->
+    Alcotest.test_case "lint/state-v2 golden render" `Quick (fun () ->
         let report =
           Lint.Engine.lint_sources
             [
               ("lib/fake/a.ml",
-               "let m = Mutex.create ()\n\
-                let reg = Hashtbl.create 8 [@@lint.guarded_by \"m\"]\n\
-                let count = Atomic.make 0");
+               "let count = Atomic.make 0\n\
+                let table = Hashtbl.create 4 [@@lint.domain_local \"fixture\"]\n\
+                let[@lint.reach_root \"fig5\"] run () = Atomic.incr count");
             ]
         in
         let golden =
-          "{\"schema\":\"lint/state-v1\",\"globals\":3,\"unguarded\":0,\
-           \"inventory\":[\
-           {\"qname\":\"Fake.A.count\",\"file\":\"lib/fake/a.ml\",\
-           \"kind\":\"atomic\",\"class\":\"atomic\"},\
-           {\"qname\":\"Fake.A.m\",\"file\":\"lib/fake/a.ml\",\
-           \"kind\":\"mutex\",\"class\":\"mutex-guard\"},\
-           {\"qname\":\"Fake.A.reg\",\"file\":\"lib/fake/a.ml\",\
-           \"kind\":\"hashtbl\",\"class\":\"mutex-guarded\",\
-           \"guard\":\"m\"}]}\n"
+          "{\n\
+          \  \"schema\": \"lint/state-v2\",\n\
+          \  \"globals\": 2,\n\
+          \  \"unguarded\": 0,\n\
+          \  \"inventory\": [\n\
+          \    {\"qname\":\"Fake.A.count\",\"file\":\"lib/fake/a.ml\",\
+           \"kind\":\"atomic\",\"class\":\"atomic\"},\n\
+          \    {\"qname\":\"Fake.A.table\",\"file\":\"lib/fake/a.ml\",\
+           \"kind\":\"hashtbl\",\"class\":\"domain-local\",\
+           \"rationale\":\"fixture\"}\n\
+          \  ],\n\
+          \  \"fig5_only\": [\n\
+          \    \"Fake.A.count\",\n\
+          \    \"Fake.A.run\"\n\
+          \  ],\n\
+          \  \"checker_only\": []\n\
+           }\n"
         in
         Alcotest.(check string) "byte-stable inventory" golden
           (Lint.State.render report.Lint.Engine.index));
@@ -472,6 +476,31 @@ let meta_tests =
               "Sim.Heap.push";
               "Sim.Heap.pop";
             ]);
+    Alcotest.test_case "the reach roots are the Fig. 5 lab and the checkers"
+      `Quick (fun () ->
+        match find_repo_root () with
+        | None -> Printf.printf "repo root not reachable from cwd; skipping\n"
+        | Some root ->
+          let index = (Lint.Engine.scan_tree root).Lint.Engine.index in
+          let roots =
+            List.concat_map
+              (fun ff ->
+                List.filter_map
+                  (fun b ->
+                    Option.map
+                      (fun kind -> kind ^ " " ^ b.Lint.Index.b_qname)
+                      b.Lint.Index.b_reach_root)
+                  ff.Lint.Index.ff_bindings)
+              index.Lint.Index.files
+          in
+          Alcotest.(check (list string)) "annotated roots"
+            [
+              "check Check.Ribscale.execute";
+              "check Check.Run.execute";
+              "check Check.Topo_run.execute";
+              "fig5 Experiments.Topology.run";
+            ]
+            (List.sort String.compare roots));
     Alcotest.test_case "report is deterministic and ordered" `Quick (fun () ->
         let src = "let a = Sys.time ()\nlet b = Random.bits ()" in
         let once = lint src and twice = lint src in
@@ -496,7 +525,7 @@ let suite =
     ("lint rules", rule_tests);
     ("lint suppression", suppression_tests);
     ("lint shared-mutable", shared_tests);
-    ("lint cross-domain", cross_tests);
+    ("lint reach", reach_tests);
     ("lint hot-path-alloc", alloc_tests);
     ("lint rule selection", selection_tests);
     ("lint inventory", state_tests);
